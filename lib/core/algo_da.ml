@@ -88,6 +88,10 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
       digits : int array;
       mutable stack : frame list;
       mutable current : int option; (* leaf node whose job is in progress *)
+      mutable cur_lo : int;
+        (* Scan cursor into [current]'s job: every member below it is
+           known done. Knowledge is monotone, so it only advances and a
+           job's scans cost O(job size) in total (as in Algo_pa). *)
       mutable halted : bool;
     }
 
@@ -125,6 +129,7 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
         digits;
         stack;
         current;
+        cur_lo = 0;
         halted = false;
       }
 
@@ -203,14 +208,17 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
             m_tasks = Know (Bitset.copy st.know);
           }
 
-    let perform_at_leaf st leaf =
-      (* One member task of the leaf's job; mark and multicast when the
-         whole job is known done. *)
+    let perform_at_leaf st leaf ~from =
+      (* One member task of the leaf's job, scanning from [from] (the
+         cursor when resuming [current], the job's start otherwise);
+         mark and multicast when the whole job is known done. *)
       let j = Progress_tree.job_of_leaf st.sh leaf in
-      match Task.next_member st.part st.know j with
-      | Some z ->
+      let hi = snd st.part.Task.task_ranges.(j) in
+      let z = Task.first_unknown st.part st.know j ~from in
+      if z < hi then begin
         mark_task st z;
-        if Task.job_done st.part st.know j then begin
+        st.cur_lo <- Task.first_unknown st.part st.know j ~from:(z + 1);
+        if st.cur_lo >= hi then begin
           mark_tree st leaf;
           st.current <- None;
           Algorithm.result ~performed:z ?broadcast:(snapshot st) ()
@@ -219,11 +227,13 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
           st.current <- Some leaf;
           Algorithm.result ~performed:z ()
         end
-      | None ->
+      end
+      else begin
         (* The job completed elsewhere while we were heading to it. *)
         mark_tree st leaf;
         st.current <- None;
         Algorithm.result ?broadcast:(snapshot st) ()
+      end
 
     let step st =
       if st.halted then Algorithm.nothing
@@ -233,7 +243,7 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
       end
       else
         match st.current with
-        | Some leaf -> perform_at_leaf st leaf
+        | Some leaf -> perform_at_leaf st leaf ~from:st.cur_lo
         | None -> (
           match st.stack with
           | [] ->
@@ -258,7 +268,8 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
               fr.idx <- fr.idx + 1;
               let c = Progress_tree.child st.sh fr.node branch in
               if Bitset.mem st.tree c then Algorithm.nothing
-              else if Progress_tree.is_leaf st.sh c then perform_at_leaf st c
+              else if Progress_tree.is_leaf st.sh c then
+                perform_at_leaf st c ~from:0
               else begin
                 st.stack <-
                   {

@@ -3,7 +3,10 @@ open Doall_perms
 
 let det_list_seed = 0xD0A11
 
-type variant = Ran1 | Ran2 | Det of Perm.t list option
+(* [Det psi]: [psi ~n ~p] is the system-wide schedule list Ψ for [n]
+   jobs and [p] processors, as arrays; processor [pid] follows entry
+   [pid mod length]. Every state shares its entry read-only. *)
+type variant = Ran1 | Ran2 | Det of (n:int -> p:int -> int array array)
 
 let variant_name = function
   | Ran1 -> "paran1"
@@ -46,8 +49,9 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
            fanout variants, whose payloads are not whole-knowledge
            snapshots of a FIFO stream). *)
       order : int array;
-        (* Ran1/Det: the job schedule; Ran2: the pool, whose first [pos]
-           entries are the not-yet-eliminated candidates. *)
+        (* Ran1/Det: the job schedule (Det's is Ψ's entry, shared by
+           every state and never written); Ran2: the pool, whose first
+           [pos] entries are the not-yet-eliminated candidates. *)
       mutable pos : int;
       rng : Rng.t;
       mutable current : int option; (* job in progress *)
@@ -71,17 +75,11 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
         | Ran1 -> (Rng.permutation rng n, 0)
         | Ran2 -> (Array.init n (fun i -> i), n)
         | Det psi ->
-          let psi =
-            match psi with
-            | Some psi -> psi
-            | None -> Gen.seeded_list ~seed:det_list_seed ~n ~count:cfg.p
-          in
-          let len = List.length psi in
-          if len = 0 then invalid_arg "Algo_pa: empty schedule list";
-          let pi = List.nth psi (pid mod len) in
-          if Perm.size pi <> n then
+          let psi = psi ~n ~p:cfg.p in
+          let order = psi.(pid mod Array.length psi) in
+          if Array.length order <> n then
             invalid_arg "Algo_pa: schedule size must be min(p, t)";
-          (Perm.to_array pi, 0)
+          (order, 0)
       in
       let know = Bitset.create cfg.t in
       let tracker =
@@ -276,4 +274,29 @@ let make_ran2 ?gossip ?broadcast_every ?fanout () =
   make_variant ?gossip ?broadcast_every ?fanout Ran2
 
 let make_det ?gossip ?broadcast_every ?fanout ?psi () =
+  let psi =
+    match psi with
+    | Some psi ->
+      if psi = [] then invalid_arg "Algo_pa: empty schedule list";
+      let psi = Array.of_list (List.map Perm.to_array psi) in
+      fun ~n:_ ~p:_ -> psi
+    | None ->
+      (* Ψ depends on (n, p), known only at [init]: build it on a run's
+         first [init] and share it with every other pid and with
+         restarts. The one-entry cache holds an immutable triple, so
+         domains sharing this module may at worst build Ψ twice, never
+         read a torn one. *)
+      let cache = Atomic.make None in
+      fun ~n ~p ->
+        match Atomic.get cache with
+        | Some (n', p', psi) when n' = n && p' = p -> psi
+        | Some _ | None ->
+          let psi =
+            Array.of_list
+              (List.map Perm.to_array
+                 (Gen.seeded_list ~seed:det_list_seed ~n ~count:p))
+          in
+          Atomic.set cache (Some (n, p, psi));
+          psi
+  in
   make_variant ?gossip ?broadcast_every ?fanout (Det psi)

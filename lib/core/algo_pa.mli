@@ -46,9 +46,11 @@ val make_det :
   ?psi:Doall_perms.Perm.t list ->
   unit ->
   Doall_sim.Algorithm.packed
-(** An explicit [psi] must hold permutations of size [min(p, t)]; when it
-    has fewer than [p] entries, processor [pid] uses entry
-    [pid mod length].
+(** An explicit [psi] must be non-empty ([Invalid_argument] here
+    otherwise) and hold permutations of size [min(p, t)] (checked at
+    [init]); when it has fewer than [p] entries, processor [pid] uses
+    entry [pid mod length]. The default list is built once per run and
+    shared by every processor.
 
     [gossip] is an ablation knob (default [`Full], the paper's model):
     [`Single] broadcasts only the task just performed instead of the

@@ -140,6 +140,9 @@ let make ~psi () : Algorithm.packed =
       sched : int array;
       know : Bitset.t; (* own performances only: no communication *)
       mutable job_idx : int;
+      mutable cur_lo : int;
+        (* Scan cursor into the current job: members below it are done,
+           so each job is scanned once in total, not once per step. *)
       mutable halted : bool;
     }
 
@@ -153,6 +156,7 @@ let make ~psi () : Algorithm.packed =
         sched;
         know = Bitset.create cfg.t;
         job_idx = 0;
+        cur_lo = 0;
         halted = false;
       }
 
@@ -172,14 +176,15 @@ let make ~psi () : Algorithm.packed =
       end
       else begin
         let job = st.sched.(st.job_idx) in
-        match Task.next_member st.part st.know job with
-        | Some z ->
-          Bitset.set st.know z;
-          if Task.job_done st.part st.know job then
-            st.job_idx <- st.job_idx + 1;
-          Algorithm.result ~performed:z ()
-        | None ->
+        let hi = snd st.part.Task.task_ranges.(job) in
+        let z = Task.first_unknown st.part st.know job ~from:st.cur_lo in
+        let fresh = z < hi in
+        if fresh then Bitset.set st.know z;
+        st.cur_lo <- Task.first_unknown st.part st.know job ~from:z;
+        if st.cur_lo >= hi then begin
           st.job_idx <- st.job_idx + 1;
-          Algorithm.nothing
+          st.cur_lo <- 0
+        end;
+        if fresh then Algorithm.result ~performed:z () else Algorithm.nothing
       end
   end)

@@ -3,7 +3,6 @@ open Doall_sim
 type partition = {
   t : int;
   n : int;
-  job_of_task : int array;
   task_ranges : (int * int) array;
 }
 
@@ -12,18 +11,14 @@ let make ~p ~t =
   let n = min p t in
   let base = t / n and extra = t mod n in
   let task_ranges = Array.make n (0, 0) in
-  let job_of_task = Array.make t 0 in
   let start = ref 0 in
   for j = 0 to n - 1 do
     let size = base + if j < extra then 1 else 0 in
     task_ranges.(j) <- (!start, !start + size);
-    for z = !start to !start + size - 1 do
-      job_of_task.(z) <- j
-    done;
     start := !start + size
   done;
   assert (!start = t);
-  { t; n; job_of_task; task_ranges }
+  { t; n; task_ranges }
 
 let check_job part j =
   if j < 0 || j >= part.n then invalid_arg "Task: job id out of range"
@@ -38,9 +33,14 @@ let tasks_of_job part j =
   let lo, hi = part.task_ranges.(j) in
   List.init (hi - lo) (fun k -> lo + k)
 
+(* The first [extra] jobs hold [base + 1] tasks and the rest [base]
+   ([make]), so a task's job is one division on either side of the
+   boundary [extra * (base + 1)]. *)
 let job_of_task part z =
   if z < 0 || z >= part.t then invalid_arg "Task.job_of_task: out of range";
-  part.job_of_task.(z)
+  let base = part.t / part.n and extra = part.t mod part.n in
+  let big = extra * (base + 1) in
+  if z < big then z / (base + 1) else extra + ((z - big) / base)
 
 let job_done part know j =
   check_job part j;

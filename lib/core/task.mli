@@ -10,7 +10,6 @@
 type partition = private {
   t : int;  (** tasks, ids [0..t-1] *)
   n : int;  (** jobs, ids [0..n-1]; [n = min(p, t)] *)
-  job_of_task : int array;
   task_ranges : (int * int) array;
       (** job [j] owns tasks [fst..snd-1] (contiguous ranges) *)
 }
@@ -22,6 +21,7 @@ val make : p:int -> t:int -> partition
 val job_size : partition -> int -> int
 val tasks_of_job : partition -> int -> int list
 val job_of_task : partition -> int -> int
+(** The job owning a task, in closed form (O(1), no per-task table). *)
 
 val job_done : partition -> Doall_sim.Bitset.t -> int -> bool
 (** Whether every member task of the job is set in the knowledge set. *)

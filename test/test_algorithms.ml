@@ -198,6 +198,68 @@ let test_padet_explicit_psi () =
   in
   check "padet with explicit psi" true m.Metrics.completed
 
+(* PaDet's default Ψ is built once per run and shared by every pid and
+   by restarts. It must be exactly the explicit seeded list, also when
+   one packed module serves cells of different p in turn (a stale cache
+   entry would show; the first two cells share n = 8) or from two
+   domains at once. *)
+let padet_cells =
+  List.concat_map
+    (fun (p, t, d) ->
+      List.map (fun adv -> (p, t, d, adv)) [ "max-delay"; "flaky-restart" ])
+    [ (8, 64, 3); (16, 8, 2); (12, 40, 2); (10, 6, 2); (8, 64, 3) ]
+
+let run_padet_cell algo (p, t, d, adv) =
+  let adversary = (Runner.find_adv adv).Runner.instantiate ~p ~t ~d in
+  let m =
+    Engine.run_packed (algo ~p ~t) (Config.make ~seed:3 ~p ~t ()) ~d
+      ~adversary ()
+  in
+  ( m.Metrics.work,
+    m.Metrics.messages,
+    m.Metrics.sigma,
+    Array.to_list m.Metrics.per_proc_work )
+
+let test_padet_shared_psi () =
+  let shared = Algo_pa.make_det () in
+  let explicit ~p ~t =
+    Algo_pa.make_det
+      ~psi:
+        (Doall_perms.Gen.seeded_list ~seed:Algo_pa.det_list_seed
+           ~n:(min p t) ~count:p)
+      ()
+  in
+  let want = List.map (run_padet_cell explicit) padet_cells in
+  let seq = List.map (run_padet_cell (fun ~p:_ ~t:_ -> shared)) padet_cells in
+  check "one module across p = explicit seeded list" true (seq = want);
+  let par =
+    Pool.run ~jobs:2 (run_padet_cell (fun ~p:_ ~t:_ -> shared)) padet_cells
+  in
+  check "one module across two domains = explicit seeded list" true
+    (par = want)
+
+let test_padet_grid_jobs () =
+  let specs =
+    Runner.grid ~seeds:[ 1; 2 ] ~algos:[ "padet" ]
+      ~advs:[ "max-delay"; "lb-det"; "crash-half"; "flaky-restart" ]
+      ~points:[ (8, 64, 3); (12, 40, 2); (10, 6, 2) ]
+      ()
+  in
+  let key (r : Runner.result) =
+    let m = r.Runner.metrics in
+    ( m.Metrics.work,
+      m.Metrics.messages,
+      m.Metrics.sigma,
+      Array.to_list m.Metrics.per_proc_work )
+  in
+  let at jobs = List.map key (Runner.run_grid ~jobs specs) in
+  check "padet grid: jobs 2 = jobs 1" true (at 2 = at 1)
+
+let test_padet_rejects_empty_psi () =
+  Alcotest.check_raises "empty psi"
+    (Invalid_argument "Algo_pa: empty schedule list") (fun () ->
+      ignore (Algo_pa.make_det ~psi:[] ()))
+
 let test_paran1_vs_paran2_comparable () =
   (* Same expected work family: with matched instances, the two should be
      within a small factor of each other on average. *)
@@ -319,6 +381,12 @@ let suite =
     Alcotest.test_case "DA: explicit psi" `Quick test_da_explicit_psi;
     Alcotest.test_case "DA: rejects bad psi" `Quick test_da_rejects_bad_psi;
     Alcotest.test_case "PaDet: explicit psi" `Quick test_padet_explicit_psi;
+    Alcotest.test_case "PaDet: shared default psi = explicit list" `Quick
+      test_padet_shared_psi;
+    Alcotest.test_case "PaDet: grid jobs 2 = jobs 1" `Quick
+      test_padet_grid_jobs;
+    Alcotest.test_case "PaDet: rejects empty psi" `Quick
+      test_padet_rejects_empty_psi;
     Alcotest.test_case "PaRan1 ~ PaRan2 on average" `Slow
       test_paran1_vs_paran2_comparable;
     Alcotest.test_case "PA throttled/fanout variants correct" `Quick

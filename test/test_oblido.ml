@@ -187,6 +187,29 @@ let test_engine_oblido_with_jobs () =
   check "completes with jobs" true m.Doall_sim.Metrics.completed;
   check_int "p * t executions" (4 * 13) m.Doall_sim.Metrics.executions
 
+(* Work and per-processor work of engine runs with multi-task jobs,
+   pinned before [step] carried a job cursor: the cursor performs the
+   same tasks as a fresh scan. *)
+let test_engine_oblido_pinned () =
+  List.iter
+    (fun (seed, p, t, d, adv, (work, per_proc)) ->
+      let psi = Gen.seeded_list ~seed ~n:(min p t) ~count:p in
+      let adversary = (Runner.find_adv adv).Runner.instantiate ~p ~t ~d in
+      let m =
+        Engine.run_packed (Oblido.make ~psi ()) (Config.make ~p ~t ()) ~d
+          ~adversary ()
+      in
+      let name = Printf.sprintf "%s p=%d t=%d" adv p t in
+      check_int (name ^ ": W") work m.Doall_sim.Metrics.work;
+      Alcotest.(check (array int))
+        (name ^ ": per-pid work") per_proc m.Doall_sim.Metrics.per_proc_work)
+    [
+      (8, 4, 13, 2, "fair", (52, [| 13; 13; 13; 13 |]));
+      (9, 4, 64, 2, "max-delay", (256, [| 64; 64; 64; 64 |]));
+      (11, 6, 150, 3, "crash-staggered", (525, [| 25; 50; 75; 100; 125; 150 |]));
+      (12, 6, 150, 3, "flaky-restart", (645, [| 150; 96; 96; 111; 96; 96 |]));
+    ]
+
 let prop_replay_primary_bounds =
   QCheck2.Test.make ~name:"n <= primary <= executions = n*count" ~count:100
     QCheck2.Gen.(pair (int_range 2 7) (int_range 2 7))
@@ -220,5 +243,7 @@ let suite =
     Alcotest.test_case "engine ObliDo" `Quick test_engine_oblido;
     Alcotest.test_case "engine ObliDo with jobs" `Quick
       test_engine_oblido_with_jobs;
+    Alcotest.test_case "engine ObliDo: pinned work with long jobs" `Quick
+      test_engine_oblido_pinned;
     QCheck_alcotest.to_alcotest prop_replay_primary_bounds;
   ]

@@ -88,6 +88,39 @@ let prop_first_unknown_agrees_with_next_member =
             (List.init part.Task.n Fun.id))
         sets)
 
+let prop_job_of_task_closed_form =
+  (* The closed-form [job_of_task] must agree with [task_ranges]
+     membership. The three shapes force each regime of the formula:
+     t < p (singleton jobs), t mod p = 0 (equal jobs), and
+     t mod p <> 0 (one extra task in the first [t mod p] jobs). *)
+  QCheck2.Test.make ~name:"job_of_task = task_ranges membership" ~count:300
+    QCheck2.Gen.(
+      let* p = int_range 1 300 in
+      let* t =
+        oneof
+          [
+            int_range 1 300;
+            (if p = 1 then return 1 else int_range 1 (p - 1));
+            map (fun k -> k * p) (int_range 1 (300 / p));
+            (if p = 1 then int_range 1 300
+             else
+               let* k = int_range 0 (299 / p) in
+               let* r = int_range 1 (min (p - 1) (300 - (k * p))) in
+               return ((k * p) + r));
+          ]
+      in
+      return (p, t))
+    (fun (p, t) ->
+      let part = Task.make ~p ~t in
+      let ok = ref true in
+      for j = 0 to part.Task.n - 1 do
+        let lo, hi = part.Task.task_ranges.(j) in
+        for z = lo to hi - 1 do
+          if Task.job_of_task part z <> j then ok := false
+        done
+      done;
+      !ok)
+
 let test_jobs_done_count () =
   let part = Task.make ~p:3 ~t:6 in
   let know = Bitset.of_list 6 [ 0; 1; 4; 5 ] in
@@ -127,6 +160,7 @@ let suite =
     Alcotest.test_case "job_done / next_member" `Quick
       test_job_done_and_next_member;
     QCheck_alcotest.to_alcotest prop_first_unknown_agrees_with_next_member;
+    QCheck_alcotest.to_alcotest prop_job_of_task_closed_form;
     Alcotest.test_case "jobs_done_count" `Quick test_jobs_done_count;
     Alcotest.test_case "validation" `Quick test_validation;
     QCheck_alcotest.to_alcotest prop_partition_invariants;
