@@ -22,7 +22,6 @@ type 'msg t = {
   mutable sent : int;
   mutable in_flight : int; (* deliveries owed, O(1) pending *)
   mutable n_collisions : int;
-  mutable n_busy : int;
   mutable n_success : int;
   mutable n_lost : int;
   mutable last_slot : int; (* slots resolve in strictly increasing order *)
@@ -38,14 +37,10 @@ let create ~p ~collision () =
     sent = 0;
     in_flight = 0;
     n_collisions = 0;
-    n_busy = 0;
     n_success = 0;
     n_lost = 0;
     last_slot = min_int;
   }
-
-let p t = t.p
-let collision t = t.collision
 
 let check_pid t pid name =
   if pid < 0 || pid >= t.p then invalid_arg (name ^ ": pid out of range")
@@ -121,12 +116,10 @@ let resolve t ~now ?arbitrate () =
   | [] -> { slot_busy = false; slot_collided = false; slot_delivered = 0 }
   | [ src ] ->
     let f = Queue.pop t.stations.(src) in
-    t.n_busy <- t.n_busy + 1;
     t.n_success <- t.n_success + 1;
     let delivered = deliver t ~now ~src f in
     { slot_busy = true; slot_collided = false; slot_delivered = delivered }
   | contenders -> (
-    t.n_busy <- t.n_busy + 1;
     let order =
       match arbitrate with
       | None -> None
@@ -195,18 +188,7 @@ let receive_iter t ~dst ~now f =
 
 let pending t = t.in_flight
 
-let pending_for t ~dst =
-  check_pid t dst "Channel.pending_for";
-  Queue.length t.inbox.(dst)
-
-let next_due t ~dst =
-  check_pid t dst "Channel.next_due";
-  match Queue.peek_opt t.inbox.(dst) with
-  | Some dv -> Some dv.due
-  | None -> None
-
 let sent t = t.sent
 let collisions t = t.n_collisions
-let busy_slots t = t.n_busy
 let successes t = t.n_success
 let lost t = t.n_lost

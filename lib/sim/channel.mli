@@ -36,9 +36,6 @@ type 'msg t
 val create : p:int -> collision:Config.collision -> unit -> 'msg t
 (** A channel shared by processors [0..p-1]. *)
 
-val p : 'msg t -> int
-val collision : 'msg t -> Config.collision
-
 val transmit :
   'msg t ->
   src:int ->
@@ -87,21 +84,12 @@ val pending : 'msg t -> int
     eventual fan-out (a broadcast frame counts [p - 1]), resolved
     deliveries count individually until received. *)
 
-val pending_for : 'msg t -> dst:int -> int
-(** Resolved deliveries waiting in [dst]'s inbox (queued frames are not
-    yet addressed to anyone). *)
-
-val next_due : 'msg t -> dst:int -> int option
-
 val sent : 'msg t -> int
 (** Logical messages across all transmission attempts so far — the
     shared-channel message complexity (see module doc). *)
 
 val collisions : 'msg t -> int
 (** Slots that ended in a collision. *)
-
-val busy_slots : 'msg t -> int
-(** Slots with at least one contender. *)
 
 val successes : 'msg t -> int
 (** Slots in which a frame was delivered. *)

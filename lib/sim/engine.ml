@@ -214,10 +214,12 @@ module Make (A : Algorithm.S) = struct
              the shared stream never sees a record *)
           (match cfg.Config.transport with
            | Config.Ptp ->
-             Transport.create ~transport:Config.Ptp
-               ?digest:(if stream then A.merge_homomorphic else None)
-               ~horizon:d ~p ()
-           | Config.Channel _ as tr -> Transport.create ~transport:tr ~p ());
+             Transport.Ptp
+               (Network.create
+                  ?digest:(if stream then A.merge_homomorphic else None)
+                  ~horizon:d ~p ())
+           | Config.Channel collision ->
+             Transport.Shared (Channel.create ~p ~collision ()));
         global_done = Bitset.create cfg.Config.t;
         alive = Array.make p true;
         halted = Array.make p false;

@@ -1,8 +1,20 @@
 (* See msg_ring.mli. Layout: [horizon + 1] buckets (slot = due mod
    buckets); each bucket is a circular struct-of-arrays FIFO with
    power-of-two capacity, grown geometrically and reused thereafter —
-   zero allocation per message at steady state. The correctness argument
-   for bucket FIFOs being due-sorted is the same as Event_queue's. *)
+   zero allocation per message at steady state.
+
+   Correctness rests on one invariant: appends to the same bucket arrive
+   in non-decreasing due order. Two messages in one bucket have dues
+   differing by a multiple of [horizon + 1]; under the add contract (a
+   message lands at most [horizon] ahead of the instant it is added,
+   instants never decreasing), a later add can be earlier-due by at most
+   [horizon], so equal buckets force equal-or-later dues. Each bucket is
+   therefore a FIFO sorted by due, and within one due by insertion, i.e.
+   by [seq]; the cursor walks instants in order, so delivery is in
+   (due, seq) order. [add] checks the invariant directly (new due >= the
+   bucket's tail due, O(1)), so an add beyond the horizon that would
+   break it is rejected rather than silently stranded behind a later
+   due. *)
 
 type 'msg bucket = {
   mutable due : int array;
@@ -64,8 +76,14 @@ let push b ~due ~src ~seq msg =
 let add r ~due ~src ~seq msg =
   if due <= r.cursor then
     invalid_arg "Msg_ring.add: ring event at or before the cursor";
+  let b = r.slots.(due mod Array.length r.slots) in
+  if b.len > 0 then begin
+    let tail = (b.head + b.len - 1) land (Array.length b.due - 1) in
+    if due < Array.unsafe_get b.due tail then
+      invalid_arg "Msg_ring.add: due before its bucket's tail (beyond horizon)"
+  end;
   (match r.filler with None -> r.filler <- Some msg | Some _ -> ());
-  push r.slots.(due mod Array.length r.slots) ~due ~src ~seq msg;
+  push b ~due ~src ~seq msg;
   r.count <- r.count + 1
 
 let peek r ~now =

@@ -1,12 +1,13 @@
 (** A calendar ring of point-to-point messages, specialized for the
     engine's per-destination delivery path.
 
-    Same contract as {!Event_queue.create} with a horizon — O(1) add and
-    O(1) amortized delivery for events due at most [horizon] ahead of a
-    non-decreasing clock — but stored as struct-of-arrays bucket FIFOs
-    of (due, src, seq, msg) columns, so the steady-state hot path
-    allocates nothing per message (the generic queue paid a tuple, a
-    payload pair, and a FIFO cell per send).
+    [horizon + 1] bucket FIFOs indexed by [due mod (horizon + 1)]: O(1)
+    add and O(1) amortized delivery for messages due at most [horizon]
+    ahead of a non-decreasing clock — the engine's delay clamp
+    guarantees every message lands within [d] of the instant it was
+    sent. Buckets are struct-of-arrays FIFOs of (due, src, seq, msg)
+    columns, so the steady-state hot path allocates nothing per
+    message.
 
     Delivery order is (due, seq): [seq] is caller-supplied and must be
     strictly increasing across adds (the network's global send counter),
@@ -25,7 +26,10 @@ val create : horizon:int -> unit -> 'msg t
 
 val add : 'msg t -> due:int -> src:int -> seq:int -> 'msg -> unit
 (** Raises [Invalid_argument] if [due] is at or before the delivery
-    cursor (the ring invariant — see {!Event_queue.add}). *)
+    cursor, or if it is earlier than the due of the last message in its
+    bucket — possible only when an add lands more than [horizon] ahead
+    of the clock, and exactly the case where delivery order (or the
+    message itself) would otherwise be lost. *)
 
 val size : 'msg t -> int
 (** Messages added but not yet popped. *)

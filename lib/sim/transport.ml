@@ -1,36 +1,8 @@
 (* See transport.mli. *)
 
-type caps = {
-  cap_name : string;
-  cap_digest : bool;
-  cap_horizon : bool;
-  cap_collisions : Config.collision option;
-}
-
 type 'msg t =
   | Ptp of 'msg Network.t
   | Shared of 'msg Channel.t
-
-let create ~transport ?digest ?horizon ~p () =
-  match (transport : Config.transport) with
-  | Config.Ptp -> Ptp (Network.create ?digest ?horizon ~p ())
-  | Config.Channel collision ->
-    if digest <> None then
-      invalid_arg "Transport.create: ?digest is point-to-point only";
-    if horizon <> None then
-      invalid_arg "Transport.create: ?horizon is point-to-point only";
-    Shared (Channel.create ~p ~collision ())
-
-let caps = function
-  | Ptp net ->
-    let horizon = Network.stream_stats net <> None in
-    { cap_name = "ptp"; cap_digest = horizon; cap_horizon = horizon;
-      cap_collisions = None }
-  | Shared ch ->
-    { cap_name = "channel"; cap_digest = false; cap_horizon = false;
-      cap_collisions = Some (Channel.collision ch) }
-
-let p = function Ptp net -> Network.p net | Shared ch -> Channel.p ch
 
 let receive_iter t ~dst ~now f =
   match t with
@@ -41,16 +13,6 @@ let pending = function
   | Ptp net -> Network.pending net
   | Shared ch -> Channel.pending ch
 
-let pending_for t ~dst =
-  match t with
-  | Ptp net -> Network.pending_for net ~dst
-  | Shared ch -> Channel.pending_for ch ~dst
-
-let next_due t ~dst =
-  match t with
-  | Ptp net -> Network.next_due net ~dst
-  | Shared ch -> Channel.next_due ch ~dst
-
 let sent = function
   | Ptp net -> Network.sent net
   | Shared ch -> Channel.sent ch
@@ -59,7 +21,7 @@ let silence t ~pid =
   match t with Ptp _ -> () | Shared ch -> Channel.silence ch ~pid
 
 let stream_stats = function
-  | Ptp net -> Network.stream_stats net
+  | Ptp net -> Some (Network.stream_stats net)
   | Shared _ -> None
 
 let ptp_only name = function
@@ -87,7 +49,3 @@ let transmit t ~src ~release ?bcast ~unis () =
 
 let resolve t ~now ?arbitrate () =
   Channel.resolve (chan_only "resolve" t) ~now ?arbitrate ()
-
-let collisions = function Ptp _ -> 0 | Shared ch -> Channel.collisions ch
-let busy_slots = function Ptp _ -> 0 | Shared ch -> Channel.busy_slots ch
-let channel_lost = function Ptp _ -> 0 | Shared ch -> Channel.lost ch

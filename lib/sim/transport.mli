@@ -8,46 +8,16 @@
       simultaneous transmissions collide (see docs/MODEL.md).
 
     The dispatch is a plain variant, not a record of closures: the
-    engine matches once per call site, the point-to-point path compiles
-    to the same code it was before the abstraction existed (the golden
-    grid and BENCH_4 gates pin this), and backend-specific operations
-    fail loudly ([Invalid_argument]) instead of silently doing the wrong
-    thing on the other backend.
-
-    {!type-caps} makes each backend's capabilities explicit — what used
-    to be folklore ("[?digest] only works with a horizon") is now a
-    record the engine and the CLIs can consult. *)
-
-type caps = {
-  cap_name : string;  (** display name, e.g. ["ptp"] or ["channel"] *)
-  cap_digest : bool;
-      (** epoch-digest folding of broadcasts ({!Bcast}) is available *)
-  cap_horizon : bool;
-      (** bounded-delay calendar-ring storage is in effect *)
-  cap_collisions : Config.collision option;
-      (** [Some _] iff the medium is shared and transmissions can
-          collide; the payload is the collision semantics *)
-}
+    engine builds the backend itself ([Ptp (Network.create ...)] or
+    [Shared (Channel.create ...)]) and matches once per call site, the
+    point-to-point path compiles to the same code it was before the
+    abstraction existed (the golden grid and BENCH_4 gates pin this),
+    and backend-specific operations fail loudly ([Invalid_argument])
+    instead of silently doing the wrong thing on the other backend. *)
 
 type 'msg t =
   | Ptp of 'msg Network.t
   | Shared of 'msg Channel.t
-
-val create :
-  transport:Config.transport ->
-  ?digest:('msg array -> 'msg) ->
-  ?horizon:int ->
-  p:int ->
-  unit ->
-  'msg t
-(** [?digest] and [?horizon] configure the point-to-point fast path
-    exactly as in {!Network.create}; both are rejected
-    ([Invalid_argument]) on a shared channel, which has neither a
-    per-message delay horizon nor a broadcast stream to fold. *)
-
-val caps : 'msg t -> caps
-
-val p : 'msg t -> int
 
 (** {1 Common operations} — defined on both backends *)
 
@@ -58,10 +28,6 @@ val receive_iter : 'msg t -> dst:int -> now:int -> (int -> 'msg -> unit) -> int
 val pending : 'msg t -> int
 (** Messages/deliveries owed but not yet received (O(1) on both
     backends). *)
-
-val pending_for : 'msg t -> dst:int -> int
-
-val next_due : 'msg t -> dst:int -> int option
 
 val sent : 'msg t -> int
 (** The run's message complexity [M] — point-to-point counts every
@@ -75,7 +41,8 @@ val silence : 'msg t -> pid:int -> unit
     where in-flight messages outlive their sender (§2.1). *)
 
 val stream_stats : 'msg t -> (int * int) option
-(** {!Network.stream_stats} on point-to-point; [None] on a channel. *)
+(** [Some] {!Network.stream_stats} on point-to-point; [None] on a
+    channel. *)
 
 (** {1 Point-to-point operations} — [Invalid_argument] on a channel *)
 
@@ -99,10 +66,3 @@ val transmit :
 val resolve :
   'msg t -> now:int -> ?arbitrate:(int array -> int array option) -> unit ->
   Channel.slot
-
-(** {1 Channel statistics} — 0 on point-to-point (the counters simply
-    never move there), so per-tick gauges need no backend branch *)
-
-val collisions : 'msg t -> int
-val busy_slots : 'msg t -> int
-val channel_lost : 'msg t -> int

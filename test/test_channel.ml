@@ -206,15 +206,6 @@ let test_faults_rejected_on_channel () =
        false
      with Invalid_argument _ -> true)
 
-let test_digest_requires_horizon () =
-  (* satellite of the same PR: Network.create's ?digest used to be
-     silently ignored on heap backends; now it is rejected *)
-  check "Network.create ?digest without ~horizon rejected" true
-    (try
-       ignore (Network.create ~digest:(fun (a : int array) -> a.(0)) ~p:4 ());
-       false
-     with Invalid_argument _ -> true)
-
 let probed_run ~transport ~algo ~adv ~p ~t ~d =
   let probe = Probe.create () in
   let r = Runner.run ~seed:3 ~probe ~transport ~algo ~adv ~p ~t ~d () in
@@ -328,8 +319,6 @@ let suite =
       test_spec_name_transport_suffix;
     Alcotest.test_case "faults rejected on channel" `Quick
       test_faults_rejected_on_channel;
-    Alcotest.test_case "digest requires horizon" `Quick
-      test_digest_requires_horizon;
     Alcotest.test_case "net.collisions / net.channel_busy probes" `Quick
       test_probe_counters;
     Alcotest.test_case "chan adversaries inert on ptp" `Quick

@@ -4,7 +4,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let test_send_receive () =
-  let net = Network.create ~p:3 () in
+  let net = Network.create ~horizon:8 ~p:3 () in
   Network.send net ~src:0 ~dst:1 ~due:5 "hello";
   Alcotest.(check (list (pair int string))) "not yet" []
     (Network.receive net ~dst:1 ~now:4);
@@ -14,18 +14,18 @@ let test_send_receive () =
     (Network.receive net ~dst:1 ~now:5)
 
 let test_no_self_send () =
-  let net = Network.create ~p:2 () in
+  let net = Network.create ~horizon:8 ~p:2 () in
   Alcotest.check_raises "self send" (Invalid_argument "Network.send: self-send")
     (fun () -> Network.send net ~src:1 ~dst:1 ~due:1 ())
 
 let test_pid_range () =
-  let net = Network.create ~p:2 () in
+  let net = Network.create ~horizon:8 ~p:2 () in
   Alcotest.check_raises "bad dst"
     (Invalid_argument "Network.send dst: pid out of range") (fun () ->
       Network.send net ~src:0 ~dst:5 ~due:1 ())
 
 let test_message_counting () =
-  let net = Network.create ~p:4 () in
+  let net = Network.create ~horizon:8 ~p:4 () in
   (* simulate one multicast from 0: three point-to-point sends *)
   List.iter (fun dst -> Network.send net ~src:0 ~dst ~due:2 "m") [ 1; 2; 3 ];
   check_int "sent counts p2p" 3 (Network.sent net);
@@ -37,7 +37,7 @@ let test_message_counting () =
 let test_delayed_processor_receives_backlog () =
   (* A processor that did not step for a while gets everything at once,
      in order. *)
-  let net = Network.create ~p:2 () in
+  let net = Network.create ~horizon:8 ~p:2 () in
   Network.send net ~src:0 ~dst:1 ~due:1 "a";
   Network.send net ~src:0 ~dst:1 ~due:3 "b";
   Network.send net ~src:0 ~dst:1 ~due:2 "c";
@@ -46,7 +46,7 @@ let test_delayed_processor_receives_backlog () =
     (Network.receive net ~dst:1 ~now:10)
 
 let test_per_destination_isolation () =
-  let net = Network.create ~p:3 () in
+  let net = Network.create ~horizon:8 ~p:3 () in
   Network.send net ~src:0 ~dst:1 ~due:1 "for1";
   Network.send net ~src:0 ~dst:2 ~due:1 "for2";
   Alcotest.(check (list (pair int string))) "only own messages"
@@ -55,7 +55,7 @@ let test_per_destination_isolation () =
   check_int "pending_for dst 1" 1 (Network.pending_for net ~dst:1)
 
 let test_next_due () =
-  let net = Network.create ~p:2 () in
+  let net = Network.create ~horizon:16 ~p:2 () in
   Alcotest.(check (option int)) "none" None (Network.next_due net ~dst:1);
   Network.send net ~src:0 ~dst:1 ~due:9 ();
   Network.send net ~src:0 ~dst:1 ~due:4 ();
@@ -63,8 +63,9 @@ let test_next_due () =
     (Network.next_due net ~dst:1)
 
 let test_reliability () =
-  (* every message sent is eventually received exactly once *)
-  let net = Network.create ~p:4 () in
+  (* every message sent is eventually received exactly once; all sends
+     happen at clock 0, so the horizon must cover the largest due *)
+  let net = Network.create ~horizon:20 ~p:4 () in
   let sent = ref [] in
   let rng = Rng.create 77 in
   for i = 0 to 99 do
@@ -126,45 +127,48 @@ let test_bounded_horizon_network () =
 let test_broadcast_basic () =
   (* One shared record, p-1 logical messages: everyone but the source
      receives exactly one copy, and M/pending advance by p-1. *)
+  let net = Network.create ~horizon:8 ~p:4 () in
+  Network.broadcast net ~src:1 ~due:3 "news";
+  check_int "sent = p-1" 3 (Network.sent net);
+  check_int "pending = p-1" 3 (Network.pending net);
+  Alcotest.(check (list (pair int string)))
+    "source gets nothing" []
+    (Network.receive net ~dst:1 ~now:10);
   List.iter
-    (fun horizon ->
-      let net = Network.create ?horizon ~p:4 () in
-      Network.broadcast net ~src:1 ~due:3 "news";
-      check_int "sent = p-1" 3 (Network.sent net);
-      check_int "pending = p-1" 3 (Network.pending net);
+    (fun dst ->
       Alcotest.(check (list (pair int string)))
-        "source gets nothing" []
-        (Network.receive net ~dst:1 ~now:10);
-      List.iter
-        (fun dst ->
-          Alcotest.(check (list (pair int string)))
-            (Printf.sprintf "dst %d" dst)
-            [ (1, "news") ]
-            (Network.receive net ~dst ~now:10))
-        [ 0; 2; 3 ];
-      check_int "drained" 0 (Network.pending net))
-    [ None; Some 8 ]
+        (Printf.sprintf "dst %d" dst)
+        [ (1, "news") ]
+        (Network.receive net ~dst ~now:10))
+    [ 0; 2; 3 ];
+  check_int "drained" 0 (Network.pending net)
 
 let test_broadcast_merge_order () =
   (* Shared-stream deliveries interleave with per-destination unicasts
      exactly as if the broadcast had been p-1 individual sends: global
      (due, send order). *)
-  let mk horizon =
-    let net = Network.create ?horizon ~p:3 () in
-    Network.send net ~src:2 ~dst:1 ~due:2 "u-first";
-    Network.broadcast net ~src:0 ~due:2 "b1";
-    Network.send net ~src:2 ~dst:1 ~due:2 "u-mid";
-    Network.broadcast net ~src:2 ~due:4 "b2";
-    Network.send net ~src:0 ~dst:1 ~due:3 "u-late";
-    net
+  let net = Network.create ~horizon:8 ~p:3 () in
+  let model = Net_ref.create ~p:3 in
+  let send ~src ~dst ~due m =
+    Network.send net ~src ~dst ~due m;
+    Net_ref.send model ~src ~dst ~due m
+  and broadcast ~src ~due m =
+    Network.broadcast net ~src ~due m;
+    Net_ref.broadcast model ~src ~due m
   in
-  let heap = Network.receive (mk None) ~dst:1 ~now:10 in
-  let ring = Network.receive (mk (Some 8)) ~dst:1 ~now:10 in
+  send ~src:2 ~dst:1 ~due:2 "u-first";
+  broadcast ~src:0 ~due:2 "b1";
+  send ~src:2 ~dst:1 ~due:2 "u-mid";
+  broadcast ~src:2 ~due:4 "b2";
+  send ~src:0 ~dst:1 ~due:3 "u-late";
+  let expected = Net_ref.receive model ~dst:1 ~now:10 in
   Alcotest.(check (list (pair int string)))
-    "heap order is the spec"
+    "reference order is the spec"
     [ (2, "u-first"); (0, "b1"); (2, "u-mid"); (0, "u-late"); (2, "b2") ]
-    heap;
-  Alcotest.(check (list (pair int string))) "ring = heap" heap ring
+    expected;
+  Alcotest.(check (list (pair int string)))
+    "ring = reference" expected
+    (Network.receive net ~dst:1 ~now:10)
 
 let test_broadcast_stream_growth () =
   (* Keep more undelivered broadcasts in flight than the stream's
@@ -221,14 +225,15 @@ let test_broadcast_deactivate () =
   Network.deactivate net ~pid:2 (* idempotent *);
   check_int "still pending after re-deactivate" 2 (Network.pending net)
 
-let test_broadcast_ring_matches_heap_random () =
-  (* Randomized mixed traffic: the shared-stream backend must deliver
-     exactly the heap backend's sequences at every destination. The
-     stream requires non-decreasing broadcast dues (constant-latency
-     traffic), so broadcasts use a fixed delta while unicasts roam. *)
+let test_broadcast_ring_matches_reference_random () =
+  (* Randomized mixed traffic: the ring + shared-stream network must
+     deliver exactly the reference model's sequences at every
+     destination. The stream requires non-decreasing broadcast dues
+     (constant-latency traffic), so broadcasts use a fixed delta while
+     unicasts roam. *)
   let p = 5 in
   let delta = 6 in
-  let heap = Network.create ~p () in
+  let model = Net_ref.create ~p in
   let ring = Network.create ~horizon:8 ~p () in
   let rng = Rng.create 4242 in
   let mismatch = ref false in
@@ -237,28 +242,28 @@ let test_broadcast_ring_matches_heap_random () =
     for _ = 1 to burst do
       let src = Rng.int rng p in
       if Rng.int rng 3 = 0 then begin
-        Network.broadcast heap ~src ~due:(now + delta) now;
+        Net_ref.broadcast model ~src ~due:(now + delta) now;
         Network.broadcast ring ~src ~due:(now + delta) now
       end
       else begin
         let dst = (src + 1 + Rng.int rng (p - 1)) mod p in
         let due = now + 1 + Rng.int rng 8 in
-        Network.send heap ~src ~dst ~due now;
+        Net_ref.send model ~src ~dst ~due now;
         Network.send ring ~src ~dst ~due now
       end
     done;
     for dst = 0 to p - 1 do
-      if Network.receive heap ~dst ~now <> Network.receive ring ~dst ~now
+      if Net_ref.receive model ~dst ~now <> Network.receive ring ~dst ~now
       then mismatch := true
     done
   done;
   for dst = 0 to p - 1 do
-    if Network.receive heap ~dst ~now:300 <> Network.receive ring ~dst ~now:300
+    if Net_ref.receive model ~dst ~now:300 <> Network.receive ring ~dst ~now:300
     then mismatch := true
   done;
-  check "ring = heap on mixed random traffic" false !mismatch;
-  check_int "same sent" (Network.sent heap) (Network.sent ring);
-  check_int "same pending" (Network.pending heap) (Network.pending ring)
+  check "ring = reference on mixed random traffic" false !mismatch;
+  check_int "same sent" model.Net_ref.sent (Network.sent ring);
+  check_int "same pending" (Net_ref.pending model) (Network.pending ring)
 
 let test_broadcast_next_due_pending_for () =
   let net = Network.create ~horizon:8 ~p:3 () in
@@ -273,6 +278,128 @@ let test_broadcast_next_due_pending_for () =
   ignore (Network.receive net ~dst:1 ~now:7);
   Alcotest.(check (option int)) "unicast remains" (Some 9)
     (Network.next_due net ~dst:1)
+
+(* --- calendar ring (Msg_ring) behind the per-destination sends ------ *)
+
+let test_ring_basic () =
+  let net = Network.create ~horizon:4 ~p:2 () in
+  Network.send net ~src:0 ~dst:1 ~due:2 "b";
+  Network.send net ~src:0 ~dst:1 ~due:1 "a";
+  Network.send net ~src:0 ~dst:1 ~due:2 "c";
+  check_int "pending_for" 3 (Network.pending_for net ~dst:1);
+  Alcotest.(check (option int)) "next" (Some 1) (Network.next_due net ~dst:1);
+  Alcotest.(check (list (pair int string)))
+    "due order with FIFO ties"
+    [ (0, "a"); (0, "b"); (0, "c") ]
+    (Network.receive net ~dst:1 ~now:2);
+  check_int "drained" 0 (Network.pending net)
+
+let test_ring_wraparound_epochs () =
+  (* A consumer that polls rarely: dues wrap the ring several times and
+     land in the same buckets across epochs. *)
+  let net = Network.create ~horizon:2 ~p:2 () in
+  let model = Net_ref.create ~p:2 in
+  for i = 0 to 19 do
+    (* sender clock advances every iteration; due = clock + 1 or 2 *)
+    let due = i + 1 + (i mod 2) in
+    Network.send net ~src:0 ~dst:1 ~due i;
+    Net_ref.send model ~src:0 ~dst:1 ~due i;
+    (* consumer only polls every 7th instant *)
+    if i mod 7 = 6 then
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "epoch batch at %d in (due, seq) order" i)
+        (Net_ref.receive model ~dst:1 ~now:i)
+        (Network.receive net ~dst:1 ~now:i)
+  done;
+  Alcotest.(check (list (pair int int)))
+    "rest delivered"
+    (Net_ref.receive model ~dst:1 ~now:100)
+    (Network.receive net ~dst:1 ~now:100);
+  check_int "drained" 0 (Network.pending net)
+
+let test_ring_rejects_past_add () =
+  let net = Network.create ~horizon:3 ~p:2 () in
+  Network.send net ~src:0 ~dst:1 ~due:1 "early";
+  ignore (Network.receive net ~dst:1 ~now:5);
+  Alcotest.check_raises "add at cursor"
+    (Invalid_argument "Msg_ring.add: ring event at or before the cursor")
+    (fun () -> Network.send net ~src:0 ~dst:1 ~due:5 "late")
+
+let test_ring_rejects_beyond_horizon () =
+  (* due 4 is beyond horizon 2 of clock 0 and lands in bucket 4 mod 3 = 1;
+     a later due-1 send to the same bucket would sit behind it, and the
+     cursor would step past it forever. Rejected, not lost. *)
+  let net = Network.create ~horizon:2 ~p:2 () in
+  Network.send net ~src:0 ~dst:1 ~due:4 "far";
+  Alcotest.check_raises "earlier due behind a later one in its bucket"
+    (Invalid_argument
+       "Msg_ring.add: due before its bucket's tail (beyond horizon)")
+    (fun () -> Network.send net ~src:0 ~dst:1 ~due:1 "near");
+  Alcotest.(check (list (pair int string)))
+    "the accepted message is delivered" [ (0, "far") ]
+    (Network.receive net ~dst:1 ~now:100);
+  check_int "nothing stranded" 0 (Network.pending net)
+
+let test_ring_same_due_ties () =
+  let net = Network.create ~horizon:4 ~p:2 () in
+  Network.send net ~src:0 ~dst:1 ~due:1 "a";
+  Network.send net ~src:0 ~dst:1 ~due:1 "b";
+  Network.send net ~src:0 ~dst:1 ~due:3 "c";
+  Alcotest.(check (list (pair int string)))
+    "tie partner not skipped" [ (0, "a"); (0, "b") ]
+    (Network.receive net ~dst:1 ~now:1);
+  Alcotest.(check (list (pair int string)))
+    "then later" [ (0, "c") ]
+    (Network.receive net ~dst:1 ~now:3);
+  Alcotest.(check (list (pair int string)))
+    "empty" [] (Network.receive net ~dst:1 ~now:3)
+
+(* The determinism keystone: on engine-shaped traffic (every send due
+   within (clock, clock + horizon], clock non-decreasing), the ring
+   delivers exactly the reference model's sequences. Horizons span one
+   bucket pair up to the many-bucket regime of the xl cells, where
+   occasional long idle stretches force multi-bucket cursor walks. *)
+let prop_ring_matches_reference =
+  let p = 3 in
+  QCheck2.Test.make ~name:"calendar ring = reference model (delivery order)"
+    ~count:500
+    QCheck2.Gen.(
+      let* horizon = oneofl [ 1; 2; 8; 64; 512 ] in
+      let advance =
+        frequency [ (6, int_range 0 3); (1, return ((horizon / 2) + 1)) ]
+      in
+      (* (delta, src, hop): due = clock + delta, dst = (src + hop) mod p *)
+      let send =
+        triple (int_range 1 horizon) (int_range 0 (p - 1)) (int_range 1 (p - 1))
+      in
+      let* ops =
+        list_size (int_range 1 80) (pair (list_size (int_range 0 3) send) advance)
+      in
+      return (horizon, ops))
+    (fun (horizon, ops) ->
+      let net = Network.create ~horizon ~p () in
+      let model = Net_ref.create ~p in
+      let now = ref 0 and seq = ref 0 and ok = ref true in
+      let drain now =
+        for dst = 0 to p - 1 do
+          if Network.receive net ~dst ~now <> Net_ref.receive model ~dst ~now
+          then ok := false
+        done
+      in
+      List.iter
+        (fun (sends, advance) ->
+          List.iter
+            (fun (delta, src, hop) ->
+              incr seq;
+              let dst = (src + hop) mod p and due = !now + delta in
+              Network.send net ~src ~dst ~due !seq;
+              Net_ref.send model ~src ~dst ~due !seq)
+            sends;
+          now := !now + advance;
+          drain !now)
+        ops;
+      drain (!now + horizon + 1);
+      !ok && Network.pending net = 0)
 
 let suite =
   [
@@ -299,8 +426,18 @@ let suite =
       test_broadcast_stream_growth;
     Alcotest.test_case "broadcast to deactivated pid rots in pending" `Quick
       test_broadcast_deactivate;
-    Alcotest.test_case "broadcast ring = heap on random traffic" `Quick
-      test_broadcast_ring_matches_heap_random;
+    Alcotest.test_case "broadcast ring = reference on random traffic" `Quick
+      test_broadcast_ring_matches_reference_random;
     Alcotest.test_case "broadcast next_due / pending_for" `Quick
       test_broadcast_next_due_pending_for;
+    Alcotest.test_case "ring: basics" `Quick test_ring_basic;
+    Alcotest.test_case "ring: wrap-around epochs" `Quick
+      test_ring_wraparound_epochs;
+    Alcotest.test_case "ring: past add rejected" `Quick
+      test_ring_rejects_past_add;
+    Alcotest.test_case "ring: add beyond horizon rejected, not lost" `Quick
+      test_ring_rejects_beyond_horizon;
+    Alcotest.test_case "ring: same-due ties not skipped" `Quick
+      test_ring_same_due_ties;
+    QCheck_alcotest.to_alcotest prop_ring_matches_reference;
   ]
