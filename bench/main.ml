@@ -107,9 +107,7 @@ let grid_seeds ~quick = if quick then [ 1; 2; 3 ] else [ 1; 2; 3; 4; 5; 6 ]
    [obs] is None/None here, but keying on the fields keeps this honest if
    more nondeterministic ones appear. *)
 let same_metrics (a : Runner.result list) (b : Runner.result list) =
-  let key (r : Runner.result) =
-    (r.Runner.metrics, r.Runner.algo, r.Runner.adv, r.Runner.seed)
-  in
+  let key (r : Runner.result) = (r.Runner.metrics, r.Runner.spec) in
   List.length a = List.length b
   && List.for_all2 (fun x y -> key x = key y) a b
 
@@ -126,11 +124,10 @@ let perf ~quick ~out () =
       (fun (algo, adv, p, t, d) ->
         let key = Printf.sprintf "%s/%s/p%d/t%d/d%d" algo adv p t d in
         let t0 = Unix.gettimeofday () in
-        (* run_spec reports a capped run as metrics.completed = false
-           instead of raising Run_timeout: one slow cell becomes an
-           annotated row, not an aborted grid *)
+        (* a capped run comes back with metrics.completed = false: one
+           slow cell becomes an annotated row, not an aborted grid *)
         let m =
-          (Runner.run_spec (Runner.spec ~seed:42 ~algo ~adv ~p ~t ~d ()))
+          (Runner.run (Runner.spec ~seed:42 ~algo ~adv ~p ~t ~d ()))
             .Runner.metrics
         in
         let wall = Unix.gettimeofday () -. t0 in
@@ -748,7 +745,7 @@ let xl ~quick ~out () =
         Gc.compact ();
         let t0 = Unix.gettimeofday () in
         let r =
-          Runner.run_spec ~profile:true
+          Runner.run ~profile:true
             (Runner.spec ~seed:42 ~algo ~adv ~p ~t ~d ())
         in
         let m = r.Runner.metrics in
@@ -859,7 +856,8 @@ let xl ~quick ~out () =
               Gc.compact ();
               let t0 = Unix.gettimeofday () in
               let m =
-                (Runner.run ~seed:42 ~algo ~adv:"max-delay" ~p ~t ~d ())
+                (Runner.run
+                   (Runner.spec ~seed:42 ~algo ~adv:"max-delay" ~p ~t ~d ()))
                   .Runner.metrics
               in
               let wall = Unix.gettimeofday () -. t0 in

@@ -156,17 +156,39 @@ let print_percentiles (s : Probe.snapshot) =
 
 (* One cell's worth of export metadata, shared by run --obs and trace
    --jsonl. *)
-let result_meta (r : Runner.result) p t d =
+let result_meta (r : Runner.result) =
+  let s = r.Runner.spec in
   Export.Json.
     [
-      ("algo", Str r.Runner.algo);
-      ("adv", Str r.Runner.adv);
-      ("p", Int p);
-      ("t", Int t);
-      ("d", Int d);
-      ("seed", Int r.Runner.seed);
+      ("algo", Str s.Runner.spec_algo);
+      ("adv", Str s.Runner.spec_adv);
+      ("p", Int s.Runner.p);
+      ("t", Int s.Runner.t);
+      ("d", Int s.Runner.d);
+      ("seed", Int s.Runner.seed);
       ("wall_s", Float r.Runner.wall_s);
     ]
+
+(* The one cell of run and trace, with their shared exit codes: a capped
+   run prints its partial metrics and exits 1, as does a violated
+   invariant; unknown names, unparsable strategy:<spec> arguments and
+   configurations the engine rejects (fault injection on the shared
+   channel) exit 2. *)
+let run_cell ?max_time ?probes ~profile ?check ?faults ~trace spec =
+  match Runner.run ?max_time ?probes ~profile ?check ?faults ~trace spec with
+  | r when r.Runner.metrics.Doall_sim.Metrics.completed -> r
+  | r ->
+    let m = r.Runner.metrics in
+    Format.eprintf "doall: run hit the time cap at %d without completing@."
+      m.Doall_sim.Metrics.sigma;
+    Format.printf "partial %a@." Doall_sim.Metrics.pp m;
+    exit 1
+  | exception Doall_sim.Oracle.Invariant_violation v ->
+    Format.eprintf "doall: %a@." Doall_sim.Oracle.pp_violation v;
+    exit 1
+  | exception (Invalid_argument msg | Failure msg) ->
+    prerr_endline ("doall: " ^ msg);
+    exit 2
 
 (* ------------------------------------------------------------------ *)
 
@@ -211,68 +233,36 @@ let run_cmd =
       in
       let faults = Option.map snd (parse_faults faults_spec) in
       let transport = parse_transport transport in
-      (try
-         if trace then begin
-           let result, tr =
-             Runner.run_traced ~seed ~profile ~check ?faults ?max_time
-               ~transport ~algo ~adv ~p ~t ~d ()
-           in
-           Option.iter print_span_summary result.Runner.spans;
-           Format.printf "%a@." Doall_sim.Metrics.pp result.Runner.metrics;
-           let until =
-             min 120 (result.Runner.metrics.Doall_sim.Metrics.sigma + 1)
-           in
-           Format.printf "%a" Doall_sim.Trace.pp_timeline (tr, p, until);
-           Format.printf
-             "legend: # task step, o bookkeeping step, . delayed, H halt, \
-              X crash, R restart@."
-         end
-         else begin
-           let probe =
-             match obs with None -> None | Some _ -> Some (Probe.create ())
-           in
-           let result =
-             Runner.run ~seed ?probe ~profile ~check ?faults ?max_time
-               ~transport ~algo ~adv ~p ~t ~d ()
-           in
-           Format.printf "%a@." Doall_sim.Metrics.pp result.Runner.metrics;
-           Option.iter print_span_summary result.Runner.spans;
-           Option.iter print_percentiles result.Runner.obs;
-           let m = result.Runner.metrics in
-           Format.printf "bounds: lower=%.0f pa-upper=%.0f oblivious=%.0f@."
-             (Bounds.lower_bound ~p ~t ~d)
-             (Bounds.pa_upper ~p ~t ~d)
-             (Bounds.oblivious_work ~p ~t);
-           Format.printf "effort (W+M) = %d@." (Doall_sim.Metrics.effort m);
-           match obs with
-           | None -> ()
-           | Some path ->
-             Export.with_out path (fun oc ->
-                 Export.write_run oc
-                   ~meta:(result_meta result p t d)
-                   ?snapshot:result.Runner.obs ?spans:result.Runner.spans
-                   result.Runner.metrics);
-             if path <> "-" then
-               Format.eprintf "wrote probe snapshot to %s@." path
-         end
-       with
-      | Runner.Run_timeout { metrics; _ } ->
-        Format.eprintf
-          "doall: run hit the time cap at %d without completing@."
-          metrics.Doall_sim.Metrics.sigma;
-        Format.printf "partial %a@." Doall_sim.Metrics.pp metrics;
-        exit 1
-      | Doall_sim.Oracle.Invariant_violation v ->
-        Format.eprintf "doall: %a@." Doall_sim.Oracle.pp_violation v;
-        exit 1
-      | Invalid_argument msg ->
-        (* e.g. fault injection requested on the shared channel *)
-        prerr_endline ("doall: " ^ msg);
-        exit 2
-      | Failure msg ->
-        (* unknown names and unparsable strategy:<spec> arguments *)
-        prerr_endline ("doall: " ^ msg);
-        exit 2)
+      let result =
+        run_cell ?max_time ~probes:(obs <> None) ~profile ~check ?faults
+          ~trace
+          (Runner.spec ~seed ~transport ~algo ~adv ~p ~t ~d ())
+      in
+      let m = result.Runner.metrics in
+      Format.printf "%a@." Doall_sim.Metrics.pp m;
+      Option.iter print_span_summary result.Runner.spans;
+      Option.iter print_percentiles result.Runner.obs;
+      Format.printf "bounds: lower=%.0f pa-upper=%.0f oblivious=%.0f@."
+        (Bounds.lower_bound ~p ~t ~d)
+        (Bounds.pa_upper ~p ~t ~d)
+        (Bounds.oblivious_work ~p ~t);
+      Format.printf "effort (W+M) = %d@." (Doall_sim.Metrics.effort m);
+      Option.iter
+        (fun path ->
+          Export.with_out path (fun oc ->
+              Export.write_run oc ~meta:(result_meta result)
+                ?snapshot:result.Runner.obs ?spans:result.Runner.spans m);
+          if path <> "-" then
+            Format.eprintf "wrote probe snapshot to %s@." path)
+        obs;
+      Option.iter
+        (fun tr ->
+          let until = min 120 (m.Doall_sim.Metrics.sigma + 1) in
+          Format.printf "%a" Doall_sim.Trace.pp_timeline (tr, p, until);
+          Format.printf
+            "legend: # task step, o bookkeeping step, . delayed, H halt, \
+             X crash, R restart@.")
+        result.Runner.trace
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ algo_arg $ adv_arg $ strategy_arg $ p_arg $ t_arg
@@ -305,12 +295,13 @@ let trace_cmd =
          exactly when it is requested; the JSONL stream is unaffected. *)
       let profile = chrome <> None in
       let transport = parse_transport transport in
-      let result, tr =
-        Runner.run_traced ~seed ~profile ~transport ~algo ~adv ~p ~t ~d ()
+      let result =
+        run_cell ~profile ~trace:true
+          (Runner.spec ~seed ~transport ~algo ~adv ~p ~t ~d ())
       in
+      let tr = Option.get result.Runner.trace in
       Export.with_out jsonl (fun oc ->
-          Export.write_trace oc
-            ~meta:(result_meta result p t d)
+          Export.write_trace oc ~meta:(result_meta result)
             result.Runner.metrics tr);
       if jsonl <> "-" then
         Format.eprintf "wrote trace to %s@." jsonl;

@@ -92,11 +92,13 @@ let () =
         Engine.run_packed (module Greedy) cfg ~d ~adversary:(adversary ()) ()
       in
       let padet =
-        (Runner.run ~seed:3 ~algo:"padet" ~adv:"max-delay" ~p ~t ~d ())
+        (Runner.run
+           (Runner.spec ~seed:3 ~algo:"padet" ~adv:"max-delay" ~p ~t ~d ()))
           .Runner.metrics
       in
       let da =
-        (Runner.run ~seed:3 ~algo:"da-q4" ~adv:"max-delay" ~p ~t ~d ())
+        (Runner.run
+           (Runner.spec ~seed:3 ~algo:"da-q4" ~adv:"max-delay" ~p ~t ~d ()))
           .Runner.metrics
       in
       Table.add_row tbl

@@ -32,7 +32,9 @@ let () =
       let row =
         List.map
           (fun algo ->
-            let r = Runner.run ~seed:5 ~algo ~adv:"max-delay" ~p ~t ~d () in
+            let r =
+              Runner.run (Runner.spec ~seed:5 ~algo ~adv:"max-delay" ~p ~t ~d ())
+            in
             Table.cell_int r.Runner.metrics.Doall_sim.Metrics.work)
           algos
       in
@@ -48,7 +50,8 @@ let () =
   Table.print tbl;
   (* The subquadratic window in one sentence. *)
   let w_at d =
-    (Runner.run ~seed:5 ~algo:"padet" ~adv:"max-delay" ~p ~t ~d ())
+    (Runner.run
+       (Runner.spec ~seed:5 ~algo:"padet" ~adv:"max-delay" ~p ~t ~d ()))
       .Runner.metrics
       .Doall_sim.Metrics.work
   in

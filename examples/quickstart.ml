@@ -18,7 +18,9 @@ let () =
   print_endline "--- via the Runner registry ---";
   List.iter
     (fun algo ->
-      let result = Runner.run ~seed:42 ~algo ~adv:"uniform-delay" ~p ~t ~d () in
+      let result =
+        Runner.run (Runner.spec ~seed:42 ~algo ~adv:"uniform-delay" ~p ~t ~d ())
+      in
       Format.printf "%-8s %a@." algo Metrics.pp result.Runner.metrics)
     [ "trivial"; "da-q4"; "padet" ];
 
@@ -35,9 +37,11 @@ let () =
   (* 3. Watch an execution: record a trace and render the timeline. *)
   print_endline "";
   print_endline "--- a small traced run ---";
-  let result, trace =
-    Runner.run_traced ~seed:7 ~algo:"paran1" ~adv:"max-delay" ~p:4 ~t:12 ~d:3 ()
+  let result =
+    Runner.run ~trace:true
+      (Runner.spec ~seed:7 ~algo:"paran1" ~adv:"max-delay" ~p:4 ~t:12 ~d:3 ())
   in
+  let trace = Option.get result.Runner.trace in
   Format.printf "%a@." Metrics.pp result.Runner.metrics;
   Format.printf "%a" Trace.pp_timeline
     (trace, 4, result.Runner.metrics.Metrics.sigma + 1);

@@ -4,7 +4,7 @@
     prior art [lib/perms/search.ml]) with a per-generation hill-climb of
     the incumbent best. Candidates are evaluated through a caller-
     supplied evaluator — {!Doall_core.Worstcase.evaluator} wires in
-    {!Doall_core.Runner.run_spec} — fanned across a {!Doall_sim.Pool}
+    {!Doall_core.Runner.run} — fanned across a {!Doall_sim.Pool}
     (embarrassingly parallel, results in submission order).
 
     Determinism: all search randomness comes from [seed] and is drawn in

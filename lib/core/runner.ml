@@ -346,16 +346,6 @@ let find_algo name =
       (Printf.sprintf "unknown algorithm %S (known: %s)" name
          (known_names (fun s -> s.algo_name) (all_algorithms ())))
 
-type result = {
-  metrics : Metrics.t;
-  algo : string;
-  adv : string;
-  seed : int;
-  wall_s : float;
-  obs : Probe.snapshot option;
-  spans : Span.snapshot option;
-}
-
 let strategy_prefix = "strategy:"
 
 let find_adv name =
@@ -385,21 +375,6 @@ let find_adv name =
         (Printf.sprintf
            "unknown adversary %S (known: %s; or strategy:<spec>)" name
            (known_names (fun s -> s.adv_name) adversaries))
-
-let snapshot_of probe =
-  match probe with
-  | Some probe when Probe.enabled probe -> Some (Probe.snapshot probe)
-  | Some _ | None -> None
-
-(* [?profile:true] gives the engine a fresh enabled profiler; its final
-   snapshot lands in [result.spans]. Like probes, spans are per-run
-   state, never shared across grid cells or domains. *)
-let spans_of = function
-  | Some sp -> Some (Span.snapshot sp)
-  | None -> None
-
-let make_spans profile =
-  if profile then Some (Span.create ()) else None
 
 type run_spec = {
   spec_algo : string;
@@ -431,19 +406,6 @@ let pp_spec ppf s =
     s.p s.t s.d s.seed
     (transport_suffix s.transport)
 
-exception Run_timeout of { spec : run_spec; metrics : Metrics.t }
-
-let () =
-  Printexc.register_printer (function
-    | Run_timeout { spec; metrics } ->
-      Some
-        (Format.asprintf
-           "Runner.Run_timeout: %a hit the time cap at time %d (partial \
-            metrics: work=%d, messages=%d, executions=%d)"
-           pp_spec spec metrics.Metrics.sigma metrics.Metrics.work
-           metrics.Metrics.messages metrics.Metrics.executions)
-    | _ -> None)
-
 (* Optional beyond-the-model overlay: [faults] replaces the adversary's
    fault policy for this run ([--faults] on the CLI). *)
 let overlay ?faults adversary =
@@ -458,63 +420,43 @@ let overlay ?faults adversary =
 let sims = Atomic.make 0
 let sim_count () = Atomic.get sims
 
-(* Like [run] but reports a capped run through [metrics.completed]
-   instead of raising, so [run_grid] can aggregate timeouts. *)
-let run_unchecked ?(seed = 0) ?max_time ?probe ?(profile = false) ?check
-    ?faults ?(transport = Config.Ptp) ~algo ~adv ~p ~t ~d () =
+type result = {
+  metrics : Metrics.t;
+  spec : run_spec;
+  wall_s : float;
+  obs : Probe.snapshot option;
+  spans : Span.snapshot option;
+  trace : Trace.t option;
+}
+
+(* Probe and profiler are fresh per run, never shared across grid cells
+   or domains. *)
+let run ?max_time ?(probes = false) ?(profile = false) ?check ?faults
+    ?(trace = false) s =
   Atomic.incr sims;
-  let aspec = find_algo algo in
-  let vspec = find_adv adv in
-  let cfg = Config.make ~seed ~transport ~p ~t () in
-  let adversary = overlay ?faults (vspec.instantiate ~p ~t ~d) in
-  let sp = make_spans profile in
-  let t0 = Unix.gettimeofday () in
-  let metrics =
-    Engine.run_packed (aspec.make ()) cfg ~d ~adversary ?max_time ?probe
-      ?spans:sp ?check ()
+  let (module A : Algorithm.S) = (find_algo s.spec_algo).make () in
+  let adversary =
+    overlay ?faults ((find_adv s.spec_adv).instantiate ~p:s.p ~t:s.t ~d:s.d)
   in
+  let cfg =
+    Config.make ~seed:s.seed ~record_trace:trace ~transport:s.transport ~p:s.p
+      ~t:s.t ()
+  in
+  let probe = if probes then Some (Probe.create ()) else None in
+  let spans = if profile then Some (Span.create ()) else None in
+  let t0 = Unix.gettimeofday () in
+  let module E = Engine.Make (A) in
+  let eng = E.create ?probe ?spans ?check cfg ~d:s.d ~adversary in
+  let metrics = E.run ?max_time eng in
   let wall_s = Unix.gettimeofday () -. t0 in
   {
-    metrics; algo; adv; seed; wall_s;
-    obs = snapshot_of probe;
-    spans = spans_of sp;
+    metrics;
+    spec = s;
+    wall_s;
+    obs = Option.map Probe.snapshot probe;
+    spans = Option.map Span.snapshot spans;
+    trace = (if trace then Some (E.trace eng) else None);
   }
-
-let run ?seed ?max_time ?probe ?profile ?check ?faults ?transport ~algo ~adv
-    ~p ~t ~d () =
-  let r =
-    run_unchecked ?seed ?max_time ?probe ?profile ?check ?faults ?transport
-      ~algo ~adv ~p ~t ~d ()
-  in
-  if not r.metrics.Metrics.completed then
-    raise
-      (Run_timeout
-         {
-           spec = spec ~seed:r.seed ?transport ~algo ~adv ~p ~t ~d ();
-           metrics = r.metrics;
-         });
-  r
-
-let run_traced ?(seed = 0) ?max_time ?probe ?(profile = false) ?check ?faults
-    ?(transport = Config.Ptp) ~algo ~adv ~p ~t ~d () =
-  Atomic.incr sims;
-  let aspec = find_algo algo in
-  let vspec = find_adv adv in
-  let cfg = Config.make ~seed ~record_trace:true ~transport ~p ~t () in
-  let adversary = overlay ?faults (vspec.instantiate ~p ~t ~d) in
-  let sp = make_spans profile in
-  let t0 = Unix.gettimeofday () in
-  let metrics, trace =
-    Engine.run_traced (aspec.make ()) cfg ~d ~adversary ?max_time ?probe
-      ?spans:sp ?check ()
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  ( {
-      metrics; algo; adv; seed; wall_s;
-      obs = snapshot_of probe;
-      spans = spans_of sp;
-    },
-    trace )
 
 (* ------------------------------------------------------------------ *)
 (* Parallel grids.                                                     *)
@@ -554,11 +496,6 @@ let grid ?(seeds = [ 0 ]) ?transport ~algos ~advs ~points () =
         advs)
     algos
 
-let run_spec ?max_time ?probe ?profile ?check ?faults s =
-  run_unchecked ~seed:s.seed ?max_time ?probe ?profile ?check ?faults
-    ~transport:s.transport ~algo:s.spec_algo ~adv:s.spec_adv ~p:s.p ~t:s.t
-    ~d:s.d ()
-
 let run_grid ?jobs ?pool ?max_time ?(probes = false) ?(profile = false)
     ?check ?faults ?on_cell specs =
   (* Resolve names in the submitting domain so an unknown algorithm or
@@ -584,8 +521,7 @@ let run_grid ?jobs ?pool ?max_time ?(probes = false) ?(profile = false)
             cb ~finished:!finished ~total r)
   in
   let one s =
-    let probe = if probes then Some (Probe.create ()) else None in
-    let r = run_spec ?max_time ?probe ~profile ?check ?faults s in
+    let r = run ?max_time ~probes ~profile ?check ?faults s in
     notify r;
     if r.metrics.Metrics.completed then Ok r else Error s
   in
@@ -597,14 +533,3 @@ let run_grid ?jobs ?pool ?max_time ?(probes = false) ?(profile = false)
   match List.filter_map (function Error s -> Some s | Ok _ -> None) results with
   | [] -> List.map (function Ok r -> r | Error _ -> assert false) results
   | timeouts -> raise (Grid_incomplete timeouts)
-
-let average_work ?(seeds = [ 1; 2; 3; 4; 5 ]) ?jobs ?pool ?transport ~algo
-    ~adv ~p ~t ~d () =
-  let specs =
-    List.map (fun seed -> spec ~seed ?transport ~algo ~adv ~p ~t ~d ()) seeds
-  in
-  let runs = List.map (fun r -> r.metrics) (run_grid ?jobs ?pool specs) in
-  let len = float_of_int (List.length runs) in
-  let mean f = List.fold_left (fun acc m -> acc +. f m) 0.0 runs /. len in
-  ( mean (fun m -> float_of_int m.Metrics.work),
-    mean (fun m -> float_of_int m.Metrics.messages) )

@@ -81,33 +81,10 @@ val find_algo : string -> algo_spec
 val find_adv : string -> adv_spec
 (** Registry lookup, plus one dynamic family: a name of the form
     ["strategy:<spec>"] compiles the {!Doall_adversary.Strategy} DSL
-    spec into an adversary on the spot — every runner entry point (and
+    spec into an adversary on the spot — {!run} and {!run_grid} (and
     through them the CLI's [--adv], the experiment contexts and their
     memo caches) accepts synthesized strategies transparently. Raises
     [Failure] on unknown names and unparsable specs. *)
-
-type result = {
-  metrics : Metrics.t;
-  algo : string;
-  adv : string;
-  seed : int;
-  wall_s : float;
-      (** wall-clock of the simulation itself (engine run only, not
-          registry lookup or adversary construction) — the per-cell
-          timing column of exported grid results. Machine-dependent:
-          excluded from all determinism comparisons. *)
-  obs : Probe.snapshot option;
-      (** final probe snapshot when the run was instrumented (an
-          enabled [?probe] was passed, or [run_grid ~probes:true]);
-          [None] otherwise. *)
-  spans : Span.snapshot option;
-      (** final self-profiler snapshot when the run was profiled
-          ([?profile:true]): per-phase wall-clock totals and enter
-          counts for the engine's [deliver] / [algo_step] / [adversary]
-          / [bcast_maint] / [oracle] sections (docs/OBSERVABILITY.md).
-          Totals are machine-dependent like [wall_s]; counts are
-          deterministic. [None] when not profiled. *)
-}
 
 type run_spec = {
   spec_algo : string;
@@ -123,72 +100,36 @@ type run_spec = {
 }
 (** One cell of an experiment grid, by registry name. *)
 
-exception Run_timeout of { spec : run_spec; metrics : Metrics.t }
-(** Raised by {!run} and {!run_traced} when the run hits its time cap
-    without completing. Carries the full partial metrics (work,
-    messages, executions, per-processor work so far; [sigma] is the cap
-    time and [completed] is false) so callers can report how far the
-    run got instead of discarding it. A printable form is installed via
-    [Printexc.register_printer]. *)
+type result = {
+  metrics : Metrics.t;
+      (** [completed = false] when the run hit its time cap: the
+          metrics are then the partial ones (work, messages, executions
+          and per-processor work so far; [sigma] is the cap time) *)
+  spec : run_spec;  (** the cell that ran *)
+  wall_s : float;
+      (** wall-clock of the simulation itself (engine run only, not
+          registry lookup or adversary construction) — the per-cell
+          timing column of exported grid results. Machine-dependent:
+          excluded from all determinism comparisons. *)
+  obs : Probe.snapshot option;
+      (** final snapshot of the run's fresh probe when run with
+          [~probes:true]; [None] otherwise. *)
+  spans : Span.snapshot option;
+      (** final self-profiler snapshot when the run was profiled
+          ([~profile:true]): per-phase wall-clock totals and enter
+          counts for the engine's [deliver] / [algo_step] / [adversary]
+          / [bcast_maint] / [oracle] sections (docs/OBSERVABILITY.md).
+          Totals are machine-dependent like [wall_s]; counts are
+          deterministic. [None] when not profiled. *)
+  trace : Trace.t option;
+      (** the run's event trace, [Some] exactly when run with
+          [~trace:true] *)
+}
 
 val sim_count : unit -> int
-(** Process-wide number of engine runs started through the runner (any
-    entry point, any domain). Deltas of this counter let tests assert
+(** Process-wide number of engine runs started through {!run} (directly
+    or from {!run_grid}, any domain). Deltas of this counter let tests assert
     that memoized experiment cells simulate exactly once. *)
-
-val run :
-  ?seed:int ->
-  ?max_time:int ->
-  ?probe:Probe.t ->
-  ?profile:bool ->
-  ?check:bool ->
-  ?faults:Adversary.faults ->
-  ?transport:Config.transport ->
-  algo:string ->
-  adv:string ->
-  p:int ->
-  t:int ->
-  d:int ->
-  unit ->
-  result
-(** One simulation. Raises {!Run_timeout} (with the partial metrics) if
-    the run hits its time cap without completing — under a reliable
-    network that would be an algorithm bug, under injected faults it can
-    be honest behaviour worth reporting either way.
-    [?probe] is handed to {!Doall_sim.Engine.Make.create}; its final
-    snapshot is also stored in [result.obs] when enabled.
-    [?profile:true] attaches a fresh {!Span.t} self-profiler to the
-    engine and stores its snapshot in [result.spans].
-    [?check:true] turns on the invariant oracle
-    ({!Doall_sim.Oracle}) for the whole run. [?faults] overlays a
-    message-fault policy on the named adversary (the CLI's [--faults]).
-    [?transport] (default [Config.Ptp]) selects the network backend;
-    channel runs reject [?faults] ([Invalid_argument], see
-    {!Doall_sim.Engine}). *)
-
-val run_traced :
-  ?seed:int ->
-  ?max_time:int ->
-  ?probe:Probe.t ->
-  ?profile:bool ->
-  ?check:bool ->
-  ?faults:Adversary.faults ->
-  ?transport:Config.transport ->
-  algo:string ->
-  adv:string ->
-  p:int ->
-  t:int ->
-  d:int ->
-  unit ->
-  result * Trace.t
-
-(** {1 Parallel grids} *)
-
-exception Grid_incomplete of run_spec list
-(** Raised by {!run_grid} (and through it {!average_work}) when runs hit
-    the [max_time] cap without completing: the full list of capped
-    cells, never a silent partial result. A printable form is installed
-    via [Printexc.register_printer]. *)
 
 val spec :
   ?seed:int ->
@@ -200,6 +141,43 @@ val spec :
   d:int ->
   unit ->
   run_spec
+(** [seed] defaults to [0], [transport] to [Config.Ptp]. *)
+
+val run :
+  ?max_time:int ->
+  ?probes:bool ->
+  ?profile:bool ->
+  ?check:bool ->
+  ?faults:Adversary.faults ->
+  ?trace:bool ->
+  run_spec ->
+  result
+(** One simulation, in the calling domain. Never raises on the time cap:
+    a capped run comes back with [metrics.completed = false] and the
+    partial metrics — under a reliable network that would be an
+    algorithm bug, under injected faults it can be honest behaviour;
+    the caller decides. [?max_time] defaults to
+    {!Doall_sim.Engine.default_max_time}. Raises [Failure] on unknown
+    names and unparsable [strategy:] specs (see {!find_adv}).
+
+    [~probes:true] attaches a fresh enabled {!Probe.t} and stores its
+    final snapshot in [result.obs]. [~profile:true] attaches a fresh
+    {!Span.t} self-profiler and stores its snapshot in [result.spans].
+    [~check:true] turns on the invariant oracle ({!Doall_sim.Oracle})
+    for the whole run; a violation raises
+    {!Doall_sim.Oracle.Invariant_violation}. [?faults] overlays a message-fault policy on the
+    named adversary (the CLI's [--faults]); channel runs reject it
+    ([Invalid_argument], see {!Doall_sim.Engine}). [~trace:true] records
+    the run's events ([Config.record_trace]) into [result.trace].
+    None of these changes the metrics: all default to off. *)
+
+(** {1 Parallel grids} *)
+
+exception Grid_incomplete of run_spec list
+(** Raised by {!run_grid} when runs hit the [max_time] cap without
+    completing: the full list of capped cells, never a silent partial
+    result. A printable form is installed via
+    [Printexc.register_printer]. *)
 
 val spec_name : run_spec -> string
 (** ["algo/adv/pP/tT/dD/seedS"], for tables and error messages.
@@ -224,17 +202,6 @@ val grid :
     default [[0]]), in row-major order: the order {!run_grid} returns
     results in. All cells share the [?transport] (default [Ptp]). *)
 
-val run_spec :
-  ?max_time:int ->
-  ?probe:Probe.t ->
-  ?profile:bool ->
-  ?check:bool ->
-  ?faults:Adversary.faults ->
-  run_spec ->
-  result
-(** Run one cell in the calling domain. Unlike {!run}, a capped run is
-    reported through [metrics.completed = false], not an exception. *)
-
 val run_grid :
   ?jobs:int ->
   ?pool:Pool.t ->
@@ -246,26 +213,16 @@ val run_grid :
   ?on_cell:(finished:int -> total:int -> result -> unit) ->
   run_spec list ->
   result list
-(** Runs every cell and returns results in submission order. [?pool]
-    reuses an existing pool; otherwise a transient pool of [?jobs]
-    domains (default [Pool.default_jobs ()]) is created for the call.
-    Results are byte-identical for every [jobs >= 1] because all per-run
-    state ([Config], [Rng] streams, algorithm instances, adversary
-    state) is built inside the run — see the thread-safety contract
-    above. Raises {!Grid_incomplete} if any run hit [max_time].
-
-    [~probes:true] instruments every cell with its own fresh
-    {!Probe.t} (never shared across domains) and stores the final
-    snapshot in [result.obs]; snapshots are as deterministic as the
-    metrics, so they too are identical at every [jobs].
-
-    [~profile:true] likewise attaches a fresh {!Span.t} per cell and
-    stores the phase snapshot in [result.spans]; span counts share the
-    probes' determinism, span totals do not (wall clock).
-
-    [?check] turns on the invariant oracle in every cell; [?faults]
-    overlays one fault policy on every cell's adversary. Both default
-    to off, leaving grids bit-identical to before these existed.
+(** {!run} on every cell, results in submission order. [?pool] reuses
+    an existing pool; otherwise a transient pool of [?jobs] domains
+    (default [Pool.default_jobs ()]) is created for the call. The other
+    optionals apply to every cell as in {!run}; each cell gets its own
+    probe and profiler, never shared across domains. Results (metrics,
+    probe snapshots, span counts) are byte-identical for every
+    [jobs >= 1] because all per-run state ([Config], [Rng] streams,
+    algorithm instances, adversary state) is built inside the run — see
+    the thread-safety contract above. Raises {!Grid_incomplete} if any
+    run hit [max_time].
 
     [?on_cell] is a progress callback invoked once per finished cell,
     {e in completion order}, with the number of cells finished so far
@@ -273,20 +230,3 @@ val run_grid :
     mutex but may come from any worker domain, so the callback must
     not touch domain-local state. The CLI and the bench harness use it
     to render live [k/n cells, ETA] lines on stderr. *)
-
-val average_work :
-  ?seeds:int list ->
-  ?jobs:int ->
-  ?pool:Pool.t ->
-  ?transport:Config.transport ->
-  algo:string ->
-  adv:string ->
-  p:int ->
-  t:int ->
-  d:int ->
-  unit ->
-  float * float
-(** Mean work and mean messages over the given seeds (default 5 seeds),
-    for estimating expected complexity of the randomized algorithms.
-    Seeds run through {!run_grid}, so [?jobs]/[?pool] parallelize them
-    and a capped seed raises {!Grid_incomplete}. *)

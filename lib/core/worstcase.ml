@@ -16,7 +16,7 @@ let evaluator ?(check = true) ?max_time ?transport ~algo ~p ~t ~d ~seed () =
         ~adv:("strategy:" ^ Strategy.to_spec strategy)
         ~p ~t ~d ()
     in
-    match Runner.run_spec ~max_time ~check spec with
+    match Runner.run ~max_time ~check spec with
     | result ->
         let m = result.Runner.metrics in
         {

@@ -1,5 +1,5 @@
 (** Runner-backed worst-case synthesis: {!Doall_adversary.Synth} wired
-    to {!Runner.run_spec}.
+    to {!Runner.run}.
 
     The search asks "what is the worst delivery/crash/fault schedule for
     this algorithm at this (p, t, d)?" — the question the paper answers
@@ -28,7 +28,7 @@ val evaluator :
   unit ->
   Strategy.t ->
   Synth.eval
-(** One candidate = one {!Runner.run_spec} cell with
+(** One candidate = one {!Runner.run} of a {!Runner.run_spec} with
     [spec_adv = "strategy:" ^ to_spec], run in the calling domain.
     [?check] (default true) audits with the oracle and reports a
     violation in [e_violation] instead of raising. [?transport] (default

@@ -203,9 +203,11 @@ let fig1 =
       (Exp.axes ~algos:[ "paran1" ] ~advs:[ "lb-rand" ] ~points:[ (p, t, d) ]
          ~seeds:[ 3 ] ())
     (fun ctx ->
-      let result, trace =
-        Runner.run_traced ~seed:3 ~algo:"paran1" ~adv:"lb-rand" ~p ~t ~d ()
+      let result =
+        Runner.run ~trace:true
+          (Runner.spec ~seed:3 ~algo:"paran1" ~adv:"lb-rand" ~p ~t ~d ())
       in
+      let trace = Option.get result.Runner.trace in
       Ctx.print ctx
         (Printf.sprintf
            "== Fig. 1: online adversary on PaRan1, p=%d t=%d d=%d ==\n" p t d);

@@ -72,9 +72,9 @@ val mean_work :
   unit ->
   float
 (** Seed-averaged work through {!grid}: the per-seed cells are memoized
-    individually, and the mean is folded exactly like
-    {!Doall_core.Runner.average_work} so migrated experiments print
-    bit-identical numbers. *)
+    individually, and the mean is a left fold of the per-seed works in
+    seed order divided by the seed count, so the printed figures are
+    bit-identical at every [jobs]. *)
 
 val cells_simulated : t -> int
 (** Number of cache misses so far — the count of simulations this

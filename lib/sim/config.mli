@@ -49,14 +49,13 @@ type t = private {
 val make :
   ?seed:int ->
   ?record_trace:bool ->
-  ?wire:wire ->
   ?transport:transport ->
   p:int ->
   t:int ->
   unit ->
   t
-(** Validates [p >= 1] and [t >= 1]. [wire] defaults to [Full],
-    [transport] to [Ptp]. *)
+(** Validates [p >= 1] and [t >= 1]. [transport] defaults to [Ptp]. The
+    wire starts at [Full]; only the engine switches it ({!with_wire}). *)
 
 val with_seed : t -> int -> t
 
@@ -64,12 +63,10 @@ val with_wire : t -> wire -> t
 (** Used by the engine to switch delta-safe runs to the sparse
     encoding; see {!type-wire} for when that is sound. *)
 
-val with_transport : t -> transport -> t
-
 val transport_to_string : transport -> string
 (** ["ptp"], ["channel"] (silent collisions) or ["channel-detect"] —
     the vocabulary of the CLIs' [--transport] flag and of
-    {!Doall_core.Runner.run_spec} names. *)
+    {!Doall_core.Runner.spec_name}. *)
 
 val transport_of_string : string -> (transport, string) result
 

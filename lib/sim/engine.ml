@@ -693,14 +693,3 @@ let run_packed (module A : Algorithm.S) cfg ~d ~adversary ?max_time ?probe
   let module E = Make (A) in
   let eng = E.create ?probe ?spans ?check cfg ~d ~adversary in
   E.run ?max_time eng
-
-let run_traced (module A : Algorithm.S) cfg ~d ~adversary ?max_time ?probe
-    ?spans ?check () =
-  let cfg =
-    Config.make ~seed:cfg.Config.seed ~record_trace:true
-      ~transport:cfg.Config.transport ~p:cfg.Config.p ~t:cfg.Config.t ()
-  in
-  let module E = Make (A) in
-  let eng = E.create ?probe ?spans ?check cfg ~d ~adversary in
-  let m = E.run ?max_time eng in
-  (m, E.trace eng)

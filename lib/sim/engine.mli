@@ -97,18 +97,5 @@ val run_packed :
   Metrics.t
 (** One-shot convenience around {!Make}. *)
 
-val run_traced :
-  Algorithm.packed ->
-  Config.t ->
-  d:int ->
-  adversary:Adversary.t ->
-  ?max_time:int ->
-  ?probe:Probe.t ->
-  ?spans:Span.t ->
-  ?check:bool ->
-  unit ->
-  Metrics.t * Trace.t
-(** Like {!run_packed} but also returns the trace (forces recording). *)
-
 val default_max_time : p:int -> t:int -> d:int -> int
 (** The default safety cap used by [run]. *)

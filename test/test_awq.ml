@@ -176,7 +176,9 @@ let test_registry_integration () =
   let spec = Runner.find_algo "awq-q4" in
   check "registered" true (spec.Runner.algo_name = "awq-q4");
   check "liveness flag" true (spec.Runner.liveness = `Needs_quorum);
-  let r = Runner.run ~algo:"awq-q4" ~adv:"fair" ~p:6 ~t:18 ~d:2 () in
+  let r =
+    Runner.run (Runner.spec ~algo:"awq-q4" ~adv:"fair" ~p:6 ~t:18 ~d:2 ())
+  in
   check "runs by name" true r.Runner.metrics.Metrics.completed
 
 let test_register_idempotent () =

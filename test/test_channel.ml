@@ -201,15 +201,18 @@ let test_faults_rejected_on_channel () =
   check "engine rejects fault injection on the channel" true
     (try
        ignore
-         (Runner.run ~transport:(Config.Channel Config.Silent) ~faults
-            ~algo:"da-q4" ~adv:"fair" ~p:4 ~t:8 ~d:2 ());
+         (Runner.run ~faults
+            (Runner.spec ~transport:(Config.Channel Config.Silent)
+               ~algo:"da-q4" ~adv:"fair" ~p:4 ~t:8 ~d:2 ()));
        false
      with Invalid_argument _ -> true)
 
 let probed_run ~transport ~algo ~adv ~p ~t ~d =
-  let probe = Probe.create () in
-  let r = Runner.run ~seed:3 ~probe ~transport ~algo ~adv ~p ~t ~d () in
-  (r, Probe.snapshot probe)
+  let r =
+    Runner.run ~probes:true
+      (Runner.spec ~seed:3 ~transport ~algo ~adv ~p ~t ~d ())
+  in
+  (r, Option.get r.Runner.obs)
 
 let test_probe_counters () =
   let p = 8 and t = 48 and d = 4 in
@@ -235,7 +238,8 @@ let test_chan_adversary_inert_on_ptp () =
      point-to-point their contention rules are inert, so their metrics
      equal fair's exactly *)
   let run adv =
-    (Runner.run ~seed:1 ~algo:"da-q4" ~adv ~p:8 ~t:32 ~d:4 ()).Runner.metrics
+    (Runner.run (Runner.spec ~seed:1 ~algo:"da-q4" ~adv ~p:8 ~t:32 ~d:4 ()))
+      .Runner.metrics
   in
   let base = run "fair" in
   List.iter
@@ -255,8 +259,9 @@ let test_chan_adversary_inert_on_ptp () =
 let test_channel_golden_cells () =
   let cell ~collision ~algo ~adv =
     let m =
-      (Runner.run ~seed:1 ~transport:(Config.Channel collision) ~algo ~adv
-         ~p:12 ~t:48 ~d:4 ())
+      (Runner.run
+         (Runner.spec ~seed:1 ~transport:(Config.Channel collision) ~algo ~adv
+            ~p:12 ~t:48 ~d:4 ()))
         .Runner.metrics
     in
     (m.Metrics.work, m.Metrics.messages, m.Metrics.sigma)

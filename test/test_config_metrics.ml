@@ -25,7 +25,10 @@ let test_config_pp () =
          with Not_found -> false))
 
 let test_metrics_pp_forms () =
-  let m = (Runner.run ~algo:"padet" ~adv:"fair" ~p:3 ~t:9 ~d:1 ()).Runner.metrics in
+  let m =
+    (Runner.run (Runner.spec ~algo:"padet" ~adv:"fair" ~p:3 ~t:9 ~d:1 ()))
+      .Runner.metrics
+  in
   let one = Format.asprintf "%a" Metrics.pp m in
   let wide = Format.asprintf "%a" Metrics.pp_wide m in
   check "one-line is one line" true
@@ -36,7 +39,9 @@ let test_relational_invariants () =
   (* engine-level relations that must hold for every completed run *)
   List.iter
     (fun (algo, adv, p, t, d) ->
-      let m = (Runner.run ~seed:3 ~algo ~adv ~p ~t ~d ()).Runner.metrics in
+      let m =
+        (Runner.run (Runner.spec ~seed:3 ~algo ~adv ~p ~t ~d ())).Runner.metrics
+      in
       check "completed" true m.Metrics.completed;
       (* sigma+1 time units, at most p steps each *)
       check "work <= p * (sigma + 1)" true
@@ -60,7 +65,10 @@ let test_relational_invariants () =
     ]
 
 let test_d_recorded_as_given () =
-  let m = (Runner.run ~algo:"padet" ~adv:"fair" ~p:2 ~t:4 ~d:7 ()).Runner.metrics in
+  let m =
+    (Runner.run (Runner.spec ~algo:"padet" ~adv:"fair" ~p:2 ~t:4 ~d:7 ()))
+      .Runner.metrics
+  in
   check_int "d carried through" 7 m.Metrics.d
 
 let suite =

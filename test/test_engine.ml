@@ -185,12 +185,17 @@ let test_timeout_reported () =
   in
   check "not completed" false m.Metrics.completed
 
+(* A traced trivial run through [Engine.Make]: metrics and trace. *)
+let trivial_traced () =
+  let (module A : Algorithm.S) = Algo_trivial.make () in
+  let module E = Engine.Make (A) in
+  let cfg = Config.make ~record_trace:true ~p:3 ~t:6 () in
+  let eng = E.create cfg ~d:1 ~adversary:Adversary.fair in
+  let m = E.run eng in
+  (m, E.trace eng)
+
 let test_trace_records () =
-  let cfg = Config.make ~p:3 ~t:6 () in
-  let m, trace =
-    Engine.run_traced (Algo_trivial.make ()) cfg ~d:1
-      ~adversary:Adversary.fair ()
-  in
+  let m, trace = trivial_traced () in
   check "completed" true m.Metrics.completed;
   let performs = ref 0 in
   Trace.iter trace (fun ev ->
@@ -198,11 +203,7 @@ let test_trace_records () =
   check_int "trace has all executions" m.Metrics.executions !performs
 
 let test_fresh_flags_in_trace () =
-  let cfg = Config.make ~p:3 ~t:6 () in
-  let _, trace =
-    Engine.run_traced (Algo_trivial.make ()) cfg ~d:1
-      ~adversary:Adversary.fair ()
-  in
+  let _, trace = trivial_traced () in
   let fresh = ref 0 in
   Trace.iter trace (fun ev ->
       match ev with

@@ -22,8 +22,9 @@ let test_total_loss_terminates () =
   List.iter
     (fun aspec ->
       let r =
-        Runner.run ~check:true ~algo:aspec.Runner.algo_name ~adv:"lossy-all"
-          ~p:5 ~t:15 ~d:3 ~seed:2 ()
+        Runner.run ~check:true
+          (Runner.spec ~algo:aspec.Runner.algo_name ~adv:"lossy-all" ~p:5
+             ~t:15 ~d:3 ~seed:2 ())
       in
       let m = r.Runner.metrics in
       if not m.Metrics.completed then
@@ -39,8 +40,8 @@ let test_drop_all_overlay () =
   List.iter
     (fun algo ->
       let r =
-        Runner.run ~check:true ~faults:Doall_adversary.Fault.drop_all ~algo
-          ~adv:"max-delay" ~p:5 ~t:15 ~d:3 ~seed:2 ()
+        Runner.run ~check:true ~faults:Doall_adversary.Fault.drop_all
+          (Runner.spec ~algo ~adv:"max-delay" ~p:5 ~t:15 ~d:3 ~seed:2 ())
       in
       check (algo ^ " completes with drop_all overlay") true
         r.Runner.metrics.Metrics.completed)
@@ -51,9 +52,9 @@ let test_drop_all_overlay () =
 (* the M accounting holds (drops count toward messages, dups do not).  *)
 
 let run_snapped ~adv ~seed =
-  let probe = Probe.create () in
   let r =
-    Runner.run ~probe ~check:true ~algo:"paran1" ~adv ~p:6 ~t:24 ~d:3 ~seed ()
+    Runner.run ~probes:true ~check:true
+      (Runner.spec ~algo:"paran1" ~adv ~p:6 ~t:24 ~d:3 ~seed ())
   in
   let snap =
     match r.Runner.obs with
@@ -87,10 +88,12 @@ let test_dup_counter () =
 (* Crash-recovery: restarts happen, are traced, and reset local state. *)
 
 let test_flaky_restart_traced () =
-  let r, tr =
-    Runner.run_traced ~check:true ~algo:"padet" ~adv:"flaky-restart" ~p:4
-      ~t:16 ~d:2 ~seed:1 ()
+  let r =
+    Runner.run ~check:true ~trace:true
+      (Runner.spec ~algo:"padet" ~adv:"flaky-restart" ~p:4 ~t:16 ~d:2 ~seed:1
+         ())
   in
+  let tr = Option.get r.Runner.trace in
   check "completed" true r.Runner.metrics.Metrics.completed;
   let restarts, crashes =
     Trace.fold tr ~init:(0, 0) ~f:(fun (rs, cs) ev ->
@@ -138,18 +141,18 @@ let test_restart_changes_outcome () =
     (metrics_tuple with_restart <> metrics_tuple without)
 
 (* ------------------------------------------------------------------ *)
-(* Run_timeout carries the partial metrics.                            *)
+(* A capped run returns its partial metrics.                           *)
 
-let test_run_timeout_partial_metrics () =
-  match
-    Runner.run ~max_time:3 ~algo:"paran1" ~adv:"max-delay" ~p:8 ~t:64 ~d:4 ()
-  with
-  | _ -> Alcotest.fail "expected Run_timeout at max_time:3"
-  | exception Runner.Run_timeout { spec; metrics } ->
-    check "spec names the run" true (spec.Runner.spec_algo = "paran1");
-    check "partial metrics not completed" true (not metrics.Metrics.completed);
-    check "sigma is the cap" true (metrics.Metrics.sigma <= 3);
-    check "partial work was counted" true (metrics.Metrics.work > 0)
+let test_capped_run_partial_metrics () =
+  let r =
+    Runner.run ~max_time:3
+      (Runner.spec ~algo:"paran1" ~adv:"max-delay" ~p:8 ~t:64 ~d:4 ())
+  in
+  let metrics = r.Runner.metrics in
+  check "spec names the run" true (r.Runner.spec.Runner.spec_algo = "paran1");
+  check "partial metrics not completed" true (not metrics.Metrics.completed);
+  check "sigma is the cap" true (metrics.Metrics.sigma <= 3);
+  check "partial work was counted" true (metrics.Metrics.work > 0)
 
 (* ------------------------------------------------------------------ *)
 (* The oracle actually audits when asked, and stays silent otherwise.  *)
@@ -176,7 +179,8 @@ let test_checked_runs_bit_identical () =
   List.iter
     (fun adv ->
       let run chk =
-        (Runner.run ~check:chk ~algo:"paran1" ~adv ~p:6 ~t:24 ~d:3 ~seed:7 ())
+        (Runner.run ~check:chk
+           (Runner.spec ~algo:"paran1" ~adv ~p:6 ~t:24 ~d:3 ~seed:7 ()))
           .Runner.metrics
       in
       Alcotest.(check (list int))
@@ -194,7 +198,8 @@ let test_chaos_adversaries_complete_checked () =
   List.iter
     (fun adv ->
       let r =
-        Runner.run ~check:true ~algo:"paran2" ~adv ~p:5 ~t:15 ~d:3 ~seed:3 ()
+        Runner.run ~check:true
+          (Runner.spec ~algo:"paran2" ~adv ~p:5 ~t:15 ~d:3 ~seed:3 ())
       in
       check (adv ^ " completes under audit") true
         r.Runner.metrics.Metrics.completed)
@@ -210,8 +215,9 @@ let test_faulty_runs_deterministic () =
       ]
   in
   let run () =
-    (Runner.run ~check:true ~faults ~algo:"paran1" ~adv:"uniform-delay" ~p:6
-       ~t:24 ~d:3 ~seed:11 ())
+    (Runner.run ~check:true ~faults
+       (Runner.spec ~algo:"paran1" ~adv:"uniform-delay" ~p:6 ~t:24 ~d:3
+          ~seed:11 ()))
       .Runner.metrics
   in
   check "same seed, same faulty execution" true
@@ -295,8 +301,8 @@ let suite =
       test_flaky_restart_traced;
     Alcotest.test_case "recovery changes the execution" `Quick
       test_restart_changes_outcome;
-    Alcotest.test_case "Run_timeout carries partial metrics" `Quick
-      test_run_timeout_partial_metrics;
+    Alcotest.test_case "capped run returns partial metrics" `Quick
+      test_capped_run_partial_metrics;
     Alcotest.test_case "oracle audits every tick when attached" `Quick
       test_oracle_ticks_checked;
     Alcotest.test_case "oracle is read-only (bit-identical runs)" `Quick

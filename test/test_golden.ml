@@ -29,7 +29,10 @@ let test_pinned_runs () =
   Doall_quorum.Register.install ();
   List.iter
     (fun (algo, adv, p, t, d, (work, messages, sigma, executions)) ->
-      let m = (Runner.run ~seed:42 ~algo ~adv ~p ~t ~d ()).Runner.metrics in
+      let m =
+        (Runner.run (Runner.spec ~seed:42 ~algo ~adv ~p ~t ~d ()))
+          .Runner.metrics
+      in
       let got =
         ( m.Doall_sim.Metrics.work,
           m.Doall_sim.Metrics.messages,

@@ -10,7 +10,8 @@ open Doall_perms
 let check = Alcotest.(check bool)
 
 let work ?(seed = 1) ~algo ~adv ~p ~t ~d () =
-  (Runner.run ~seed ~algo ~adv ~p ~t ~d ()).Runner.metrics.Metrics.work
+  (Runner.run (Runner.spec ~seed ~algo ~adv ~p ~t ~d ())).Runner.metrics
+    .Metrics.work
 
 let test_subquadratic_when_d_small () =
   (* With d = 1 every coordinated algorithm must beat the oblivious
@@ -89,8 +90,11 @@ let test_lemma_6_1_bound () =
       ("lb-rand", 2); ("batch", 1) ]
 
 let test_randomized_reproducible_with_seed () =
-  let r1 = Runner.run ~seed:9 ~algo:"paran2" ~adv:"random-half" ~p:8 ~t:32 ~d:4 () in
-  let r2 = Runner.run ~seed:9 ~algo:"paran2" ~adv:"random-half" ~p:8 ~t:32 ~d:4 () in
+  let spec =
+    Runner.spec ~seed:9 ~algo:"paran2" ~adv:"random-half" ~p:8 ~t:32 ~d:4 ()
+  in
+  let r1 = Runner.run spec in
+  let r2 = Runner.run spec in
   check "bitwise-identical metrics" true
     (r1.Runner.metrics = r2.Runner.metrics)
 
@@ -119,7 +123,10 @@ let test_work_scales_with_t_not_explosively () =
     (float_of_int w128 <= 3.5 *. float_of_int w64)
 
 let test_effort_identity () =
-  let m = (Runner.run ~algo:"paran1" ~adv:"fair" ~p:6 ~t:24 ~d:2 ()).Runner.metrics in
+  let m =
+    (Runner.run (Runner.spec ~algo:"paran1" ~adv:"fair" ~p:6 ~t:24 ~d:2 ()))
+      .Runner.metrics
+  in
   Alcotest.(check int) "effort = W + M"
     (m.Metrics.work + m.Metrics.messages)
     (Metrics.effort m)
@@ -130,7 +137,9 @@ let test_crash_storm_correctness () =
   List.iter
     (fun seed ->
       let r =
-        Runner.run ~seed ~algo:"da-q4" ~adv:"crash-staggered" ~p:8 ~t:32 ~d:4 ()
+        Runner.run
+          (Runner.spec ~seed ~algo:"da-q4" ~adv:"crash-staggered" ~p:8 ~t:32
+             ~d:4 ())
       in
       check "completed under crash storm" true
         r.Runner.metrics.Metrics.completed)
@@ -142,7 +151,9 @@ let test_scale_smoke () =
   let p = 128 and t = 1024 and d = 32 in
   List.iter
     (fun algo ->
-      let r = Runner.run ~seed:1 ~algo ~adv:"uniform-delay" ~p ~t ~d () in
+      let r =
+        Runner.run (Runner.spec ~seed:1 ~algo ~adv:"uniform-delay" ~p ~t ~d ())
+      in
       let m = r.Runner.metrics in
       if not m.Metrics.completed then Alcotest.failf "%s timed out" algo;
       if m.Metrics.work >= p * t then

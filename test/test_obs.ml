@@ -138,9 +138,10 @@ let test_percentile () =
 (* Engine instrumentation consistency vs Metrics.t.                    *)
 
 let probed_run ~algo ~adv ~p ~t ~d =
-  let probe = Probe.create () in
-  let r = Runner.run ~seed:3 ~probe ~algo ~adv ~p ~t ~d () in
-  (r, Probe.snapshot probe)
+  let r =
+    Runner.run ~probes:true (Runner.spec ~seed:3 ~algo ~adv ~p ~t ~d ())
+  in
+  (r, Option.get r.Runner.obs)
 
 let test_engine_instruments_match_metrics () =
   List.iter
@@ -191,7 +192,7 @@ let det_specs =
 
 (* Everything except wall_s (machine noise) and obs (checked apart). *)
 let comparable (r : Runner.result) =
-  (r.Runner.metrics, r.Runner.algo, r.Runner.adv, r.Runner.seed)
+  (r.Runner.metrics, r.Runner.spec)
 
 let test_grid_deterministic_across_jobs_and_probes () =
   let base = Runner.run_grid ~jobs:1 ~probes:false det_specs in
@@ -395,12 +396,11 @@ let validate_lines lines =
     lines
 
 let test_export_run_jsonl () =
-  let probe = Probe.create () in
   let r =
-    Runner.run ~seed:3 ~probe ~profile:true ~algo:"paran1" ~adv:"max-delay"
-      ~p:6 ~t:24 ~d:3 ()
+    Runner.run ~probes:true ~profile:true
+      (Runner.spec ~seed:3 ~algo:"paran1" ~adv:"max-delay" ~p:6 ~t:24 ~d:3 ())
   in
-  let snap = Probe.snapshot probe in
+  let snap = Option.get r.Runner.obs in
   let kinds =
     with_temp_file (fun path ->
         let oc = open_out path in
@@ -467,9 +467,11 @@ let test_export_run_jsonl () =
      | _ -> false)
 
 let test_export_trace_jsonl () =
-  let r, trace =
-    Runner.run_traced ~seed:1 ~algo:"da-q4" ~adv:"fair" ~p:4 ~t:12 ~d:2 ()
+  let r =
+    Runner.run ~trace:true
+      (Runner.spec ~seed:1 ~algo:"da-q4" ~adv:"fair" ~p:4 ~t:12 ~d:2 ())
   in
+  let trace = Option.get r.Runner.trace in
   let kinds =
     with_temp_file (fun path ->
         let oc = open_out path in

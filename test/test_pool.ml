@@ -89,7 +89,7 @@ let mixed_specs =
     ()
 
 let result_key (r : Runner.result) =
-  ( (r.Runner.algo, r.Runner.adv, r.Runner.seed),
+  ( r.Runner.spec,
     ( r.Runner.metrics.Metrics.work,
       r.Runner.metrics.Metrics.messages,
       r.Runner.metrics.Metrics.sigma,
@@ -100,11 +100,7 @@ let test_grid_determinism () =
   (* run_grid at jobs=1/2/4 vs a sequential Runner.run fold: identical
      work, messages, sigma, executions and per-processor work. *)
   let sequential =
-    List.map
-      (fun (s : Runner.run_spec) ->
-        Runner.run ~seed:s.Runner.seed ~algo:s.Runner.spec_algo
-          ~adv:s.Runner.spec_adv ~p:s.Runner.p ~t:s.Runner.t ~d:s.Runner.d ())
-      mixed_specs
+    List.map (fun s -> Runner.run s) mixed_specs
   in
   let expected = List.map result_key sequential in
   List.iter
@@ -156,18 +152,6 @@ let test_grid_unknown_name () =
             && String.sub msg 0 26 = "unknown algorithm \"nope\" (") then
       Alcotest.failf "unexpected message: %s" msg
 
-let test_average_work_parallel () =
-  let seq =
-    Runner.average_work ~jobs:1 ~algo:"paran1" ~adv:"max-delay" ~p:8 ~t:64
-      ~d:4 ()
-  in
-  let par =
-    Runner.average_work ~jobs:4 ~algo:"paran1" ~adv:"max-delay" ~p:8 ~t:64
-      ~d:4 ()
-  in
-  Alcotest.(check (pair (float 0.0) (float 0.0)))
-    "average_work identical at jobs=1 and jobs=4" seq par
-
 let suite =
   [
     Alcotest.test_case "map preserves order" `Quick test_map_order;
@@ -181,6 +165,4 @@ let suite =
     Alcotest.test_case "grid pool reuse" `Slow test_grid_pool_reuse;
     Alcotest.test_case "Grid_incomplete on cap" `Quick test_grid_incomplete;
     Alcotest.test_case "unknown name fails fast" `Quick test_grid_unknown_name;
-    Alcotest.test_case "average_work parallel" `Quick
-      test_average_work_parallel;
   ]

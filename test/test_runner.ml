@@ -26,7 +26,9 @@ let test_find_unknown () =
     (try ignore (Runner.find_adv "nope"); false with Failure _ -> true)
 
 let test_run_returns_metrics () =
-  let r = Runner.run ~algo:"padet" ~adv:"fair" ~p:4 ~t:16 ~d:2 () in
+  let r =
+    Runner.run (Runner.spec ~algo:"padet" ~adv:"fair" ~p:4 ~t:16 ~d:2 ())
+  in
   check "completed" true r.Runner.metrics.Doall_sim.Metrics.completed;
   check_int "p recorded" 4 r.Runner.metrics.Doall_sim.Metrics.p
 
@@ -36,8 +38,9 @@ let test_every_algo_runs_under_every_adversary () =
       List.iter
         (fun vspec ->
           let r =
-            Runner.run ~algo:aspec.Runner.algo_name
-              ~adv:vspec.Runner.adv_name ~p:5 ~t:15 ~d:3 ~seed:2 ()
+            Runner.run
+              (Runner.spec ~algo:aspec.Runner.algo_name
+                 ~adv:vspec.Runner.adv_name ~p:5 ~t:15 ~d:3 ~seed:2 ())
           in
           if not r.Runner.metrics.Doall_sim.Metrics.completed then
             Alcotest.failf "%s vs %s did not complete" aspec.Runner.algo_name
@@ -50,8 +53,9 @@ let test_deterministic_flags () =
     (fun aspec ->
       if aspec.Runner.deterministic then begin
         let w seed =
-          (Runner.run ~seed ~algo:aspec.Runner.algo_name ~adv:"max-delay"
-             ~p:6 ~t:18 ~d:4 ())
+          (Runner.run
+             (Runner.spec ~seed ~algo:aspec.Runner.algo_name ~adv:"max-delay"
+                ~p:6 ~t:18 ~d:4 ()))
             .Runner.metrics
             .Doall_sim.Metrics.work
         in
@@ -61,20 +65,43 @@ let test_deterministic_flags () =
       end)
     Runner.algorithms
 
-let test_average_work () =
-  let w, m =
-    Runner.average_work ~seeds:[ 1; 2; 3 ] ~algo:"paran1" ~adv:"fair" ~p:4
-      ~t:16 ~d:2 ()
+let test_run_trace () =
+  let plain =
+    Runner.run (Runner.spec ~algo:"trivial" ~adv:"fair" ~p:2 ~t:4 ~d:1 ())
   in
-  check "mean work positive" true (w > 0.0);
-  check "mean messages positive" true (m > 0.0)
-
-let test_run_traced () =
-  let r, tr =
-    Runner.run_traced ~algo:"trivial" ~adv:"fair" ~p:2 ~t:4 ~d:1 ()
+  check "untraced run has no trace" true (plain.Runner.trace = None);
+  let r =
+    Runner.run ~trace:true
+      (Runner.spec ~algo:"trivial" ~adv:"fair" ~p:2 ~t:4 ~d:1 ())
   in
   check "completed" true r.Runner.metrics.Doall_sim.Metrics.completed;
-  check "trace non-empty" true (Doall_sim.Trace.length tr > 0)
+  match r.Runner.trace with
+  | Some tr -> check "trace non-empty" true (Doall_sim.Trace.length tr > 0)
+  | None -> Alcotest.fail "run ~trace:true returned no trace"
+
+let test_trace_keeps_metrics () =
+  (* recording is read-only: traced and untraced runs of one cell give
+     the same metrics, down to per-processor work *)
+  List.iter
+    (fun algo ->
+      let spec =
+        Runner.spec ~seed:3 ~algo ~adv:"uniform-delay" ~p:8 ~t:48 ~d:4 ()
+      in
+      let plain = Runner.run spec and traced = Runner.run ~trace:true spec in
+      check (algo ^ ": traced metrics = untraced") true
+        (plain.Runner.metrics = traced.Runner.metrics))
+    [ "paran1"; "da-q4" ]
+
+let test_capped_traced_run () =
+  let r =
+    Runner.run ~max_time:5 ~trace:true
+      (Runner.spec ~algo:"paran1" ~adv:"max-delay" ~p:8 ~t:64 ~d:4 ())
+  in
+  check "capped run not completed" false
+    r.Runner.metrics.Doall_sim.Metrics.completed;
+  match r.Runner.trace with
+  | Some tr -> check "partial trace kept" true (Doall_sim.Trace.length tr > 0)
+  | None -> Alcotest.fail "capped traced run returned no trace"
 
 let suite =
   [
@@ -88,6 +115,9 @@ let suite =
       test_every_algo_runs_under_every_adversary;
     Alcotest.test_case "deterministic algorithms seed-insensitive" `Quick
       test_deterministic_flags;
-    Alcotest.test_case "average_work" `Quick test_average_work;
-    Alcotest.test_case "run_traced" `Quick test_run_traced;
+    Alcotest.test_case "run ~trace" `Quick test_run_trace;
+    Alcotest.test_case "run ~trace keeps metrics" `Quick
+      test_trace_keeps_metrics;
+    Alcotest.test_case "capped traced run keeps its trace" `Quick
+      test_capped_traced_run;
   ]

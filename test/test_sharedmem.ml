@@ -67,7 +67,9 @@ let test_shared_memory_beats_message_passing () =
   let p = 16 and t = 64 in
   let shm = Write_all.run ~p ~t () in
   let msg =
-    (Doall_core.Runner.run ~seed:1 ~algo:"da-q4" ~adv:"max-delay" ~p ~t ~d:16 ())
+    (Doall_core.Runner.run
+       (Doall_core.Runner.spec ~seed:1 ~algo:"da-q4" ~adv:"max-delay" ~p ~t
+          ~d:16 ()))
       .Doall_core.Runner.metrics
   in
   check

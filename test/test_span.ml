@@ -84,7 +84,7 @@ let test_span_registry_and_snapshot () =
 (* Profiled runs: deterministic counts, bit-identical metrics.         *)
 
 let profiled_run ?(check = false) ~algo ~adv ~p ~t ~d () =
-  Runner.run ~seed:3 ~profile:true ~check ~algo ~adv ~p ~t ~d ()
+  Runner.run ~profile:true ~check (Runner.spec ~seed:3 ~algo ~adv ~p ~t ~d ())
 
 let test_profile_phase_counts () =
   List.iter
@@ -113,15 +113,16 @@ let test_profile_oracle_span () =
   check "oracle span counts with ~check" true (List.assoc "oracle" counts > 0)
 
 let comparable (r : Runner.result) =
-  (r.Runner.metrics, r.Runner.algo, r.Runner.adv, r.Runner.seed, r.Runner.obs)
+  (r.Runner.metrics, r.Runner.spec, r.Runner.obs)
 
 let test_profile_does_not_perturb_metrics () =
   let base =
-    Runner.run ~seed:5 ~algo:"paran2" ~adv:"max-delay" ~p:8 ~t:40 ~d:3 ()
+    Runner.run
+      (Runner.spec ~seed:5 ~algo:"paran2" ~adv:"max-delay" ~p:8 ~t:40 ~d:3 ())
   in
   let prof =
-    Runner.run ~seed:5 ~profile:true ~algo:"paran2" ~adv:"max-delay" ~p:8 ~t:40
-      ~d:3 ()
+    Runner.run ~profile:true
+      (Runner.spec ~seed:5 ~algo:"paran2" ~adv:"max-delay" ~p:8 ~t:40 ~d:3 ())
   in
   check "metrics identical profile on/off" true (comparable base = comparable prof);
   check "unprofiled run carries no spans" true (base.Runner.spans = None)
@@ -156,8 +157,11 @@ let test_profile_structure_stable_across_jobs () =
 (* Chrome trace-event export.                                          *)
 
 let traced_run () =
-  Runner.run_traced ~seed:2 ~profile:true ~algo:"paran1" ~adv:"max-delay" ~p:5
-    ~t:20 ~d:3 ()
+  let r =
+    Runner.run ~profile:true ~trace:true
+      (Runner.spec ~seed:2 ~algo:"paran1" ~adv:"max-delay" ~p:5 ~t:20 ~d:3 ())
+  in
+  (r, Option.get r.Runner.trace)
 
 let trace_events doc =
   match doc with
@@ -233,9 +237,11 @@ let test_chrome_valid_json_and_flows () =
   check "simulation + profile processes" true (pids = [ 1; 2 ])
 
 let test_chrome_without_spans () =
-  let r, tr =
-    Runner.run_traced ~seed:7 ~algo:"da-q4" ~adv:"fair" ~p:4 ~t:12 ~d:2 ()
+  let r =
+    Runner.run ~trace:true
+      (Runner.spec ~seed:7 ~algo:"da-q4" ~adv:"fair" ~p:4 ~t:12 ~d:2 ())
   in
+  let tr = Option.get r.Runner.trace in
   check "no profile requested" true (r.Runner.spans = None);
   let evs = trace_events (Chrome.json ~p:4 tr) in
   check "profile track absent" true

@@ -124,9 +124,7 @@ let test_xl_shape_jobs_determinism () =
       ~points:[ (128, 32, 4); (16, 512, 6) ]
       ()
   in
-  let key (r : Runner.result) =
-    (r.Runner.metrics, r.Runner.algo, r.Runner.adv, r.Runner.seed)
-  in
+  let key (r : Runner.result) = (r.Runner.metrics, r.Runner.spec) in
   let base = List.map key (Runner.run_grid ~jobs:1 specs) in
   List.iter
     (fun jobs ->

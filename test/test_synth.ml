@@ -171,7 +171,7 @@ let test_search_deterministic () =
   check_str "jobs 4, same best spec" a.Synth.best_spec d.Synth.best_spec;
   (* and the winner replays bit-identically through the runner *)
   let r =
-    Runner.run_spec ~check:true
+    Runner.run ~check:true
       (Runner.spec ~seed:3 ~algo:"paran1"
          ~adv:("strategy:" ^ a.Synth.best_spec)
          ~p:6 ~t:24 ~d:3 ())
@@ -188,7 +188,7 @@ let test_search_beats_hand_in_model () =
     List.fold_left
       (fun acc adv ->
         let r =
-          Runner.run_spec ~check:true
+          Runner.run ~check:true
             (Runner.spec ~seed:1 ~algo:"da-q4" ~adv ~p ~t ~d ())
         in
         max acc r.Runner.metrics.Metrics.work)

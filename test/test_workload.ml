@@ -65,9 +65,11 @@ let test_replay_simulated_run () =
      completeness must hold with a real workload attached. *)
   let p = 6 and t = 30 and d = 4 in
   let w = Workload.flaky_but_idempotent ~t ~seed:99 in
-  let result, trace =
-    Runner.run_traced ~seed:4 ~algo:"paran1" ~adv:"random-half" ~p ~t ~d ()
+  let result =
+    Runner.run ~trace:true
+      (Runner.spec ~seed:4 ~algo:"paran1" ~adv:"random-half" ~p ~t ~d ())
   in
+  let trace = Option.get result.Runner.trace in
   check "sim completed" true result.Runner.metrics.Doall_sim.Metrics.completed;
   let j = Workload.Journal.create w in
   Workload.Journal.replay_trace j trace;
@@ -81,9 +83,11 @@ let test_replay_catches_bad_tasks_under_redundancy () =
   (* The same end-to-end loop flags a broken workload whenever the
      schedule forces redundancy. *)
   let p = 6 and t = 24 and d = 8 in
-  let result, trace =
-    Runner.run_traced ~seed:5 ~algo:"paran2" ~adv:"max-delay" ~p ~t ~d ()
+  let result =
+    Runner.run ~trace:true
+      (Runner.spec ~seed:5 ~algo:"paran2" ~adv:"max-delay" ~p ~t ~d ())
   in
+  let trace = Option.get result.Runner.trace in
   let m = result.Runner.metrics in
   check "run had redundancy" true (Doall_sim.Metrics.redundant m > 0);
   let j = Workload.Journal.create (Workload.broken_nonidempotent ~t ()) in
