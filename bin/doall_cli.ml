@@ -363,6 +363,15 @@ let delays_arg =
   Arg.(value & opt (list int) [ 1; 2; 4; 8; 16; 32; 64 ]
        & info [ "delays" ] ~docv:"D1,D2,.." ~doc:"Delay bounds to sweep.")
 
+(* sweep and compare: a configuration a cell rejects (unknown names,
+   d < 1, faults on the channel) exits 2, as in run and trace *)
+let run_adhoc ~jobs ~progress e =
+  match Exp.run ~jobs ~progress e with
+  | () -> ()
+  | exception (Invalid_argument msg | Failure msg) ->
+    prerr_endline ("doall: " ^ msg);
+    exit 2
+
 let sweep_cmd =
   let doc = "Sweep the delay bound and tabulate work/messages." in
   let run algo adv p t delays seed jobs progress check faults_spec transport
@@ -415,7 +424,7 @@ let sweep_cmd =
              column is deterministic)";
           Ctx.emit ctx ~name:"main" tbl)
     in
-    Exp.run ~jobs ~progress e
+    run_adhoc ~jobs ~progress e
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(const run $ algo_arg $ adv_arg $ p_arg $ t_arg $ delays_arg
@@ -475,7 +484,7 @@ let compare_cmd =
                (Bounds.lower_bound ~p ~t ~d));
           Ctx.emit ctx ~name:"main" tbl)
     in
-    Exp.run ~jobs ~progress e
+    run_adhoc ~jobs ~progress e
   in
   Cmd.v (Cmd.info "compare" ~doc)
     Term.(const run $ algos_arg $ adv_arg $ p_arg $ t_arg $ d_arg $ seed_arg

@@ -39,17 +39,18 @@ let () =
     "Scanning %d shards on %d nodes; hostile scheduling, latency %d, \
      staggered crashes.\n\n"
     shards nodes latency_bound;
-  let cfg = Config.make ~seed:11 ~record_trace:true ~p:nodes ~t:shards () in
+  let cfg = Config.make ~seed:11 ~p:nodes ~t:shards () in
   let algo = Algo_pa.make_ran2 () in
   let (module A : Algorithm.S) = algo in
   let module E = Engine.Make (A) in
-  let eng = E.create cfg ~d:latency_bound ~adversary:(hostile ()) in
+  let trace = Trace.create () in
+  let eng = E.create ~trace cfg ~d:latency_bound ~adversary:(hostile ()) in
   let metrics = E.run eng in
   assert (metrics.Metrics.completed);
 
   (* Replay the trace against the real scan functions. *)
   let journal = Workload.Journal.create workload in
-  Workload.Journal.replay_trace journal (E.trace eng);
+  Workload.Journal.replay_trace journal trace;
   let hits =
     List.concat_map snd (Workload.Journal.results journal)
   in

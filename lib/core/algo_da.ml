@@ -213,7 +213,7 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
          cursor when resuming [current], the job's start otherwise);
          mark and multicast when the whole job is known done. *)
       let j = Progress_tree.job_of_leaf st.sh leaf in
-      let hi = snd st.part.Task.task_ranges.(j) in
+      let hi = Task.job_hi st.part j in
       let z = Task.first_unknown st.part st.know j ~from in
       if z < hi then begin
         mark_task st z;

@@ -152,15 +152,13 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
     let is_done st = Bitset.is_full st.know
     let done_tasks st = st.know
 
-    let job_end st j = snd st.part.Task.task_ranges.(j)
-
     (* Advance the cursor to job [j]'s first unknown member; false when
        the job is finished. Equivalent to [not (Task.job_done ...)] but
        amortized O(gains) across a job's lifetime instead of a fresh
        known-prefix rescan per step. *)
     let current_pending st j =
       st.cur_lo <- Task.first_unknown st.part st.know j ~from:st.cur_lo;
-      st.cur_lo < job_end st j
+      st.cur_lo < Task.job_hi st.part j
 
     (* Select: the next job to work on, or None when everything this
        processor can see is done. Leaves [cur_lo] on the returned job's
@@ -172,8 +170,7 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
         st.current <- None;
         let pick j =
           st.cur_lo <-
-            Task.first_unknown st.part st.know j
-              ~from:(fst st.part.Task.task_ranges.(j));
+            Task.first_unknown st.part st.know j ~from:(Task.job_lo st.part j);
           Some j
         in
         match variant with
@@ -214,7 +211,7 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
              partition covers every task); defensive no-op. *)
           Algorithm.nothing
         | Some j ->
-          if st.cur_lo >= job_end st j then
+          if st.cur_lo >= Task.job_hi st.part j then
             Algorithm.nothing (* unreachable: select checked *)
           else begin
             let z = st.cur_lo in

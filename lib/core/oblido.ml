@@ -176,7 +176,7 @@ let make ~psi () : Algorithm.packed =
       end
       else begin
         let job = st.sched.(st.job_idx) in
-        let hi = snd st.part.Task.task_ranges.(job) in
+        let hi = Task.job_hi st.part job in
         let z = Task.first_unknown st.part st.know job ~from:st.cur_lo in
         let fresh = z < hi in
         if fresh then Bitset.set st.know z;

@@ -438,15 +438,13 @@ let run ?max_time ?(probes = false) ?(profile = false) ?check ?faults
   let adversary =
     overlay ?faults ((find_adv s.spec_adv).instantiate ~p:s.p ~t:s.t ~d:s.d)
   in
-  let cfg =
-    Config.make ~seed:s.seed ~record_trace:trace ~transport:s.transport ~p:s.p
-      ~t:s.t ()
-  in
+  let cfg = Config.make ~seed:s.seed ~transport:s.transport ~p:s.p ~t:s.t () in
   let probe = if probes then Some (Probe.create ()) else None in
   let spans = if profile then Some (Span.create ()) else None in
+  let trace = if trace then Some (Trace.create ()) else None in
   let t0 = Unix.gettimeofday () in
   let module E = Engine.Make (A) in
-  let eng = E.create ?probe ?spans ?check cfg ~d:s.d ~adversary in
+  let eng = E.create ?probe ?spans ?trace ?check cfg ~d:s.d ~adversary in
   let metrics = E.run ?max_time eng in
   let wall_s = Unix.gettimeofday () -. t0 in
   {
@@ -455,7 +453,7 @@ let run ?max_time ?(probes = false) ?(profile = false) ?check ?faults
     wall_s;
     obs = Option.map Probe.snapshot probe;
     spans = Option.map Span.snapshot spans;
-    trace = (if trace then Some (E.trace eng) else None);
+    trace;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -167,8 +167,9 @@ val run :
     for the whole run; a violation raises
     {!Doall_sim.Oracle.Invariant_violation}. [?faults] overlays a message-fault policy on the
     named adversary (the CLI's [--faults]); channel runs reject it
-    ([Invalid_argument], see {!Doall_sim.Engine}). [~trace:true] records
-    the run's events ([Config.record_trace]) into [result.trace].
+    ([Invalid_argument], see {!Doall_sim.Engine}), as does [d < 1].
+    [~trace:true] attaches a fresh {!Trace.t} and stores it, filled, in
+    [result.trace].
     None of these changes the metrics: all default to off. *)
 
 (** {1 Parallel grids} *)

@@ -10,13 +10,23 @@
 type partition = private {
   t : int;  (** tasks, ids [0..t-1] *)
   n : int;  (** jobs, ids [0..n-1]; [n = min(p, t)] *)
-  task_ranges : (int * int) array;
-      (** job [j] owns tasks [fst..snd-1] (contiguous ranges) *)
+  base : int;  (** [t / n]: every job holds [base] or [base + 1] tasks *)
+  extra : int;  (** [t mod n]: the jobs holding [base + 1] tasks *)
 }
+(** Job [j] owns the contiguous tasks [job_lo j .. job_hi j - 1]; the
+    bounds are computed in closed form, so a partition is four ints
+    whatever its size. *)
 
 val make : p:int -> t:int -> partition
 (** Balanced contiguous grouping into [min(p, t)] jobs whose sizes differ
     by at most one (so every size is [<= ceil(t/p)]). *)
+
+val job_lo : partition -> int -> int
+(** The job's first task. *)
+
+val job_hi : partition -> int -> int
+(** One past the job's last task: [job_hi j = job_lo (j + 1)], and
+    [job_hi (n - 1) = t]. *)
 
 val job_size : partition -> int -> int
 val tasks_of_job : partition -> int -> int list

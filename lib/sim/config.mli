@@ -41,14 +41,12 @@ type t = private {
   p : int;  (** number of processors, with pids [0..p-1] *)
   t : int;  (** number of tasks, with ids [0..t-1] *)
   seed : int;  (** master seed; all randomness in a run derives from it *)
-  record_trace : bool;  (** record per-event traces (costs memory) *)
   wire : wire;  (** knowledge payload encoding (engine-managed) *)
   transport : transport;  (** communication medium (default [Ptp]) *)
 }
 
 val make :
   ?seed:int ->
-  ?record_trace:bool ->
   ?transport:transport ->
   p:int ->
   t:int ->

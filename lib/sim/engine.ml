@@ -5,32 +5,6 @@ let default_max_time ~p ~t ~d =
      bound. Add slack for delays and tiny instances. *)
   10_000 + (48 * t * p) + (64 * d)
 
-(* The engine's probe catalogue (docs/OBSERVABILITY.md). Instruments are
-   registered once at [create]; every record site below is guarded by a
-   single branch on [obs_on], so a disabled probe costs one predictable
-   conditional per site and cannot perturb metrics or RNG streams. *)
-type instruments = {
-  obs_on : bool;
-  i_fresh : Probe.counter; (* engine.fresh_executions *)
-  i_redundant : Probe.counter; (* engine.redundant_executions *)
-  i_sends : Probe.counter; (* net.sends *)
-  i_deliveries : Probe.counter; (* net.deliveries *)
-  i_latency : Probe.histogram; (* net.delivery_latency *)
-  i_fanout : Probe.histogram; (* net.fanout *)
-  i_inflight : Probe.gauge; (* net.in_flight *)
-  i_stream_pending : Probe.gauge; (* net.stream_pending *)
-  i_stream_digest : Probe.gauge; (* net.stream_digest_bytes *)
-  i_drops : Probe.counter; (* net.drops *)
-  i_dups : Probe.counter; (* net.dups *)
-  i_collisions : Probe.counter; (* net.collisions *)
-  i_busy : Probe.counter; (* net.channel_busy *)
-  i_delayed : Probe.vector; (* proc.delayed_steps *)
-  i_idle : Probe.vector; (* proc.idle_steps *)
-  s_fresh : Probe.series; (* engine.fresh_executions per tick *)
-  s_redundant : Probe.series; (* engine.redundant_executions per tick *)
-  s_inflight : Probe.series; (* net.in_flight per tick *)
-}
-
 (* The engine's span catalogue (docs/OBSERVABILITY.md): wall-clock
    phase sections recorded behind the same cached-enabled-flag trick as
    the probes. Spans only read the clock, so metrics and RNG streams
@@ -52,29 +26,6 @@ let phases spans =
     ph_adv = Span.span spans "adversary";
     ph_bcast = Span.span spans "bcast_maint";
     ph_oracle = Span.span spans "oracle";
-  }
-
-let instruments probe ~p =
-  {
-    obs_on = Probe.enabled probe;
-    i_fresh = Probe.counter probe "engine.fresh_executions";
-    i_redundant = Probe.counter probe "engine.redundant_executions";
-    i_sends = Probe.counter probe "net.sends";
-    i_deliveries = Probe.counter probe "net.deliveries";
-    i_latency = Probe.histogram probe "net.delivery_latency";
-    i_fanout = Probe.histogram probe "net.fanout";
-    i_inflight = Probe.gauge probe "net.in_flight";
-    i_stream_pending = Probe.gauge probe "net.stream_pending";
-    i_stream_digest = Probe.gauge probe "net.stream_digest_bytes";
-    i_drops = Probe.counter probe "net.drops";
-    i_dups = Probe.counter probe "net.dups";
-    i_collisions = Probe.counter probe "net.collisions";
-    i_busy = Probe.counter probe "net.channel_busy";
-    i_delayed = Probe.vector probe "proc.delayed_steps" ~len:p;
-    i_idle = Probe.vector probe "proc.idle_steps" ~len:p;
-    s_fresh = Probe.series probe "engine.fresh_executions";
-    s_redundant = Probe.series probe "engine.redundant_executions";
-    s_inflight = Probe.series probe "net.in_flight";
   }
 
 module Make (A : Algorithm.S) = struct
@@ -111,9 +62,10 @@ module Make (A : Algorithm.S) = struct
     prev_eligible : int array;
     done_seen : bool array; (* pids counted in [done_alive] *)
     per_proc_work : int array;
-    ins : instruments;
+    observed : bool; (* a consumer is attached: [emit] is worth calling *)
+    emit : Event.t -> unit;
+    mutable delivered : int; (* messages received this tick, when observed *)
     ph : phases;
-    trace : Trace.t;
     check : Oracle.t option; (* the invariant oracle, when [~check:true] *)
     mutable oracle : Adversary.oracle option;
     mutable time : int;
@@ -152,12 +104,30 @@ module Make (A : Algorithm.S) = struct
      with Exit -> ());
     List.rev !performed
 
-  let create ?probe ?spans ?(check = false) cfg ~d ~adversary =
-    if d < 0 then invalid_arg "Engine.create: d must be non-negative";
-    let d = max 1 d in
+  let create ?probe ?spans ?trace ?(check = false) cfg ~d ~adversary =
+    if d < 1 then
+      invalid_arg
+        (Printf.sprintf
+           "Engine.create: d must be at least 1 (a message takes at least \
+            one time unit), got %d"
+           d);
     let p = cfg.Config.p in
-    let probe =
-      match probe with Some pr -> pr | None -> Probe.create ~enabled:false ()
+    (* the two consumers of the event stream *)
+    let to_probe =
+      match probe with
+      | Some pr when Probe.enabled pr -> Some (Event.probes pr ~p)
+      | _ -> None
+    in
+    let observed, emit =
+      match (trace, to_probe) with
+      | None, None -> (false, ignore)
+      | Some tr, None -> (true, Event.trace tr)
+      | None, Some consume -> (true, consume)
+      | Some tr, Some consume ->
+        ( true,
+          fun ev ->
+            Event.trace tr ev;
+            consume ev )
     in
     let spans =
       match spans with Some sp -> sp | None -> Span.create ~enabled:false ()
@@ -227,9 +197,10 @@ module Make (A : Algorithm.S) = struct
         prev_eligible = Array.init (p + 1) (fun i -> if i = 0 then p else i - 1);
         done_seen = Array.make p false;
         per_proc_work = Array.make p 0;
-        ins = instruments probe ~p;
+        observed;
+        emit;
+        delivered = 0;
         ph = phases spans;
-        trace = Trace.create ();
         check = (if check then Some (Oracle.create ()) else None);
         oracle = None;
         time = 0;
@@ -269,8 +240,8 @@ module Make (A : Algorithm.S) = struct
           halted = (fun pid -> eng.halted.(pid));
           note =
             (fun text ->
-              if cfg.Config.record_trace then
-                Trace.add eng.trace (Trace.Note { time = eng.time; text }));
+              if eng.observed then
+                eng.emit (Event.Traced (Trace.Note { time = eng.time; text })));
           rng = Rng.create (cfg.Config.seed lxor 0x5adbeef);
         };
     eng
@@ -340,8 +311,8 @@ module Make (A : Algorithm.S) = struct
              informed; step_processor re-detects it incrementally *)
           eng.done_seen.(pid) <- false;
           link_eligible eng pid;
-          if eng.cfg.Config.record_trace then
-            Trace.add eng.trace (Trace.Restart { time = eng.time; pid })
+          if eng.observed then
+            eng.emit (Event.Traced (Trace.Restart { time = eng.time; pid }))
         end)
       pids
 
@@ -360,8 +331,8 @@ module Make (A : Algorithm.S) = struct
              messages outlive their sender) *)
           Transport.silence eng.net ~pid;
           if eng.done_seen.(pid) then eng.done_alive <- eng.done_alive - 1;
-          if eng.cfg.Config.record_trace then
-            Trace.add eng.trace (Trace.Crash { time = eng.time; pid })
+          if eng.observed then
+            eng.emit (Event.Traced (Trace.Crash { time = eng.time; pid }))
         end)
       pids
 
@@ -375,7 +346,7 @@ module Make (A : Algorithm.S) = struct
     (* Deliver due messages, then take the local step. *)
     let st = eng.states.(pid) in
     (* receive_iter returns the logical delivery count itself (a digest
-       callback can stand for a whole epoch), so probed and unprobed
+       callback can stand for a whole epoch), so observed and unobserved
        runs share one delivery loop *)
     (* The three hot phases run back to back, so each transition is one
        clock read ({!Span.shift}); the whole step costs four reads. *)
@@ -384,8 +355,7 @@ module Make (A : Algorithm.S) = struct
       Transport.receive_iter eng.net ~dst:pid ~now:eng.time (fun src msg ->
           A.receive st ~src msg)
     in
-    if eng.ins.obs_on && delivered > 0 then
-      Probe.add eng.ins.i_deliveries delivered;
+    if eng.observed then eng.delivered <- eng.delivered + delivered;
     Span.shift eng.ph.ph_deliver eng.ph.ph_algo;
     let r = A.step st in
     Span.shift eng.ph.ph_algo eng.ph.ph_bcast;
@@ -396,16 +366,13 @@ module Make (A : Algorithm.S) = struct
        let fresh = not (Bitset.mem eng.global_done task) in
        Bitset.set eng.global_done task;
        eng.executions <- eng.executions + 1;
-       if eng.ins.obs_on then
-         Probe.incr
-           (if fresh then eng.ins.i_fresh else eng.ins.i_redundant);
-       if eng.cfg.Config.record_trace then
-         Trace.add eng.trace
-           (Trace.Perform { time = eng.time; pid; task; fresh })
+       if eng.observed then
+         eng.emit
+           (Event.Traced
+              (Trace.Perform { time = eng.time; pid; task; fresh }))
      | None ->
-       if eng.ins.obs_on then Probe.vincr eng.ins.i_idle pid;
-       if eng.cfg.Config.record_trace then
-         Trace.add eng.trace (Trace.Step { time = eng.time; pid }));
+       if eng.observed then
+         eng.emit (Event.Traced (Trace.Step { time = eng.time; pid })));
     if eng.chan then begin
       (* Shared channel: the step's whole outbound — broadcast and/or
          unicasts — is one frame queued at [pid]'s station. The delayed
@@ -431,34 +398,19 @@ module Make (A : Algorithm.S) = struct
         in
         Transport.transmit eng.net ~src:pid ~release:(eng.time + hold) ?bcast
           ~unis ();
-        if eng.ins.obs_on then begin
-          (* net.sends counts logical messages; on the shared medium a
-             broadcast is one (see Channel's module doc on M) *)
-          Probe.add eng.ins.i_sends logical;
-          Probe.observe eng.ins.i_fanout logical
-        end
+        (* message units are logical messages; on the shared medium a
+           broadcast is one (see Channel's module doc on M) *)
+        if eng.observed then eng.emit (Event.Transmitted logical)
       end;
-      if r.Algorithm.broadcast <> None && eng.cfg.Config.record_trace then
-        Trace.add eng.trace
-          (Trace.Broadcast
-             { time = eng.time; src = pid; copies = eng.cfg.Config.p - 1 })
+      if r.Algorithm.broadcast <> None && eng.observed then
+        eng.emit
+          (Event.Traced
+             (Trace.Broadcast
+                { time = eng.time; src = pid; copies = eng.cfg.Config.p - 1 }))
     end
     else begin
-    (* Per-message delivery deltas feed net.delivery_latency, but paying
-       a histogram update per send costs ~10% on broadcast-heavy runs.
-       Deltas arrive in runs of equal values (constant for max-delay,
-       the common case), so batch by run length: per send, one compare
-       and a register increment; one histogram flush per distinct run. *)
-    let lat_v = ref (-1) and lat_n = ref 0 in
     let observe_latency delta =
-      if eng.ins.obs_on then begin
-        if delta = !lat_v then incr lat_n
-        else begin
-          Probe.observe_n eng.ins.i_latency !lat_v !lat_n;
-          lat_v := delta;
-          lat_n := 1
-        end
-      end
+      if eng.observed then eng.emit (Event.Latency { delta; copies = 1 })
     in
     let send_one dst msg =
       let o = oracle eng in
@@ -479,7 +431,7 @@ module Make (A : Algorithm.S) = struct
           (* the algorithm paid for the send: it counts toward M even
              though nothing is enqueued; no latency sample (no delivery) *)
           Transport.count_lost eng.net;
-          if eng.ins.obs_on then Probe.incr eng.ins.i_drops
+          if eng.observed then eng.emit Event.Dropped
         | Adversary.Duplicate n ->
           observe_latency delta;
           Transport.send eng.net ~src:pid ~dst ~due:(eng.time + delta) msg;
@@ -491,7 +443,7 @@ module Make (A : Algorithm.S) = struct
             Transport.send_replica eng.net ~src:pid ~dst
               ~due:(eng.time + delta') msg
           done;
-          if eng.ins.obs_on then Probe.add eng.ins.i_dups (max 0 n)
+          if eng.observed then eng.emit (Event.Duplicated (max 0 n))
         | Adversary.Reorder j ->
           (* extra latency on top of the adversary's delay, re-clamped
              into [1..d] so the calendar-ring horizon still holds *)
@@ -506,47 +458,24 @@ module Make (A : Algorithm.S) = struct
        let p = eng.cfg.Config.p in
        if eng.stream && p > 1 then begin
          let delta = eng.stream_delta in
-         (* one shared record replaces the p-1 send_one calls; the
-            latency probe still sees p-1 samples of [delta], batched
-            through the same run-length registers *)
-         if eng.ins.obs_on then
-           if delta = !lat_v then lat_n := !lat_n + (p - 1)
-           else begin
-             Probe.observe_n eng.ins.i_latency !lat_v !lat_n;
-             lat_v := delta;
-             lat_n := p - 1
-           end;
+         (* one shared record replaces the p-1 send_one calls, and one
+            event stands for their p-1 latency samples *)
+         if eng.observed then
+           eng.emit (Event.Latency { delta; copies = p - 1 });
          Transport.broadcast eng.net ~src:pid ~due:(eng.time + delta) msg
        end
        else
          for dst = 0 to p - 1 do
            if dst <> pid then send_one dst msg
          done;
-       if eng.cfg.Config.record_trace then
-         Trace.add eng.trace
-           (Trace.Broadcast { time = eng.time; src = pid; copies = p - 1 })
+       if eng.observed then
+         eng.emit
+           (Event.Traced
+              (Trace.Broadcast { time = eng.time; src = pid; copies = p - 1 }))
      | None -> ());
     List.iter
       (fun (dst, msg) -> if dst <> pid then send_one dst msg)
       r.Algorithm.unicasts;
-    if eng.ins.obs_on then begin
-      Probe.observe_n eng.ins.i_latency !lat_v !lat_n;
-      (* multicast fan-out of this step: point-to-point copies sent.
-         [fan] equals the number of [send_one] calls above, so one
-         [add] also maintains net.sends without per-send increments. *)
-      let fan =
-        List.fold_left
-          (fun acc (dst, _) -> if dst <> pid then acc + 1 else acc)
-          (match r.Algorithm.broadcast with
-           | Some _ -> eng.cfg.Config.p - 1
-           | None -> 0)
-          r.Algorithm.unicasts
-      in
-      if fan > 0 then begin
-        Probe.add eng.ins.i_sends fan;
-        Probe.observe eng.ins.i_fanout fan
-      end
-    end
     end;
     Span.leave eng.ph.ph_bcast;
     if r.Algorithm.halt then begin
@@ -556,8 +485,8 @@ module Make (A : Algorithm.S) = struct
       unlink_eligible eng pid;
       (* a stream run has no restart policy, so the halt is permanent *)
       if eng.stream then Transport.deactivate eng.net ~pid;
-      if eng.cfg.Config.record_trace then
-        Trace.add eng.trace (Trace.Halt { time = eng.time; pid })
+      if eng.observed then
+        eng.emit (Event.Traced (Trace.Halt { time = eng.time; pid }))
     end;
     (* Track "informed" incrementally: a pid's knowledge only changes
        during its own step (receive + step above), and is monotone, so
@@ -598,11 +527,8 @@ module Make (A : Algorithm.S) = struct
       (* capture the successor first: a step may halt (unlink) [!pid] *)
       let next = eng.next_eligible.(!pid) in
       if active.(!pid) then step_processor eng !pid
-      else begin
-        if eng.ins.obs_on then Probe.vincr eng.ins.i_delayed !pid;
-        if eng.cfg.Config.record_trace then
-          Trace.add eng.trace (Trace.Delayed { time = eng.time; pid = !pid })
-      end;
+      else if eng.observed then
+        eng.emit (Event.Traced (Trace.Delayed { time = eng.time; pid = !pid }));
       pid := next
     done;
     if eng.chan then begin
@@ -618,33 +544,21 @@ module Make (A : Algorithm.S) = struct
         | _ -> None
       in
       let slot = Transport.resolve eng.net ~now:eng.time ?arbitrate () in
-      if eng.ins.obs_on then begin
-        if slot.Channel.slot_busy then Probe.incr eng.ins.i_busy;
-        if slot.Channel.slot_collided then Probe.incr eng.ins.i_collisions
-      end
+      if eng.observed then eng.emit (Event.Slot slot)
     end;
-    if eng.ins.obs_on then begin
-      (* per-tick trajectories: cumulative executions and the in-flight
-         message backlog (sends minus deliveries so far) *)
-      let time = eng.time in
-      Probe.sample eng.ins.s_fresh ~time
-        (Probe.counter_value eng.ins.i_fresh);
-      Probe.sample eng.ins.s_redundant ~time
-        (Probe.counter_value eng.ins.i_redundant);
-      (* the queue's own size, not sends - deliveries: drops never
-         enter the queue and duplicate replicas are not sends, so the
-         arithmetic lies under a faulty network; identical values on a
-         reliable one *)
-      let inflight = Transport.pending eng.net in
-      Probe.set eng.ins.i_inflight inflight;
-      Probe.sample eng.ins.s_inflight ~time inflight;
-      (* shared-stream occupancy: retained broadcast records and bytes
-         held by cached epoch digests (0 outside the digest path) *)
-      match Transport.stream_stats eng.net with
-      | Some (records, digest_words) ->
-        Probe.set eng.ins.i_stream_pending records;
-        Probe.set eng.ins.i_stream_digest (digest_words * (Sys.word_size / 8))
-      | None -> ()
+    if eng.observed then begin
+      (* in flight is the queue's own size, not sends - deliveries:
+         drops never enter the queue and duplicate replicas are not
+         sends, so the arithmetic lies under a faulty network *)
+      eng.emit
+        (Event.Tick_end
+           {
+             time = eng.time;
+             delivered = eng.delivered;
+             in_flight = Transport.pending eng.net;
+             stream = Transport.stream_stats eng.net;
+           });
+      eng.delivered <- 0
     end;
     if eng.done_alive > 0 && Bitset.is_full eng.global_done then begin
       eng.finished <- true;
@@ -683,7 +597,6 @@ module Make (A : Algorithm.S) = struct
     }
 
   let state eng pid = eng.states.(pid)
-  let trace eng = eng.trace
   let global_done eng = eng.global_done
   let checker eng = eng.check
 end

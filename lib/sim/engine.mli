@@ -32,23 +32,32 @@ module Make (A : Algorithm.S) : sig
   val create :
     ?probe:Probe.t ->
     ?spans:Span.t ->
+    ?trace:Trace.t ->
     ?check:bool ->
     Config.t ->
     d:int ->
     adversary:Adversary.t ->
     t
-  (** Builds initial states for all [p] processors. [d >= 0]; [d = 0] is
-      treated as [d = 1] (a message needs at least one time unit).
+  (** Builds initial states for all [p] processors. Raises
+      [Invalid_argument] unless [d >= 1] (a message takes at least one
+      time unit).
 
-      [?probe] attaches an observability probe (default: a private
-      disabled one). The engine registers its instrument catalogue —
+      Every observation site emits one {!Event.t} to the consumers
+      attached here, behind a single branch per site; with none
+      attached, nothing is built or called. Consumers never feed back,
+      so metrics and RNG streams are bit-identical with any of them
+      attached (pinned by [test/test_obs.ml]).
+
+      [?probe], when enabled, registers the engine's probe catalogue —
       fresh/redundant execution counters and per-tick series, the
       in-flight message gauge/series, the delivery-latency and
       multicast-fan-out histograms, the drop/duplicate fault counters,
       and per-pid delayed/idle step vectors (see docs/OBSERVABILITY.md)
-      — and records into them only behind a single branch per site, so
-      a disabled or absent probe leaves metrics and RNG streams
-      bit-identical (pinned by [test/test_obs.ml]).
+      — and attaches {!Event.probes}.
+
+      [?trace] attaches {!Event.trace}: the caller's trace receives the
+      run's step, delay, execution, multicast, halt, crash, restart and
+      adversary-note events.
 
       [?spans] attaches a wall-clock self-profiler (default: a private
       disabled one). The engine registers its phase catalogue —
@@ -71,9 +80,6 @@ module Make (A : Algorithm.S) : sig
 
   val state : t -> int -> A.state
   (** Direct access to a processor's live state (tests, adversaries). *)
-
-  val trace : t -> Trace.t
-  (** Empty unless the config set [record_trace]. *)
 
   val global_done : t -> Bitset.t
   (** The engine's ledger of globally performed tasks. *)

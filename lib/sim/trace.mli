@@ -1,9 +1,10 @@
 (** Execution traces.
 
-    When [Config.record_trace] is set, the engine records one event per
-    observable action. Traces power the reproduction of the paper's Fig. 1
-    (the adversary's stage strategy rendered as a per-processor timeline)
-    and make failed property tests diagnosable. *)
+    A trace attached at {!Engine.Make.create} ([?trace]) stores one
+    event per observable action. Traces power the reproduction of the
+    paper's Fig. 1 (the adversary's stage strategy rendered as a
+    per-processor timeline) and make failed property tests
+    diagnosable. *)
 
 type event =
   | Step of { time : int; pid : int }

@@ -35,10 +35,17 @@ let test_messages_multiple_of_p_minus_1 () =
   let m = run (Algo_pa.make_ran1 ()) ~p:6 ~t:12 ~d:2 in
   check_int "broadcasts only" 0 (m.Metrics.messages mod 5)
 
-let test_d_zero_treated_as_one () =
-  let m = run (Algo_pa.make_ran1 ()) ~d:0 in
-  check "completes with d=0" true m.Metrics.completed;
-  check_int "d recorded as 1" 1 m.Metrics.d
+let test_d_zero_rejected () =
+  List.iter
+    (fun d ->
+      check
+        (Printf.sprintf "d=%d raises Invalid_argument" d)
+        true
+        (match run (Algo_pa.make_ran1 ()) ~d with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+    [ 0; -1 ];
+  check_int "d=1 accepted" 1 (run (Algo_pa.make_ran1 ()) ~d:1).Metrics.d
 
 let test_deterministic_reproducible () =
   let m1 = run (Algo_da.make ~q:2 ()) ~p:6 ~t:24 ~d:4 ~seed:3 in
@@ -189,10 +196,11 @@ let test_timeout_reported () =
 let trivial_traced () =
   let (module A : Algorithm.S) = Algo_trivial.make () in
   let module E = Engine.Make (A) in
-  let cfg = Config.make ~record_trace:true ~p:3 ~t:6 () in
-  let eng = E.create cfg ~d:1 ~adversary:Adversary.fair in
+  let cfg = Config.make ~p:3 ~t:6 () in
+  let trace = Trace.create () in
+  let eng = E.create ~trace cfg ~d:1 ~adversary:Adversary.fair in
   let m = E.run eng in
-  (m, E.trace eng)
+  (m, trace)
 
 let test_trace_records () =
   let m, trace = trivial_traced () in
@@ -222,7 +230,7 @@ let suite =
       test_per_proc_work_sums;
     Alcotest.test_case "messages multiple of p-1" `Quick
       test_messages_multiple_of_p_minus_1;
-    Alcotest.test_case "d=0 handled" `Quick test_d_zero_treated_as_one;
+    Alcotest.test_case "d=0 rejected" `Quick test_d_zero_rejected;
     Alcotest.test_case "deterministic runs reproducible" `Quick
       test_deterministic_reproducible;
     Alcotest.test_case "randomized runs vary with seed" `Quick

@@ -180,6 +180,77 @@ let test_engine_instruments_match_metrics () =
     [ ("paran1", "max-delay"); ("da-q4", "fair"); ("padet", "uniform-delay") ]
 
 (* ------------------------------------------------------------------ *)
+(* The two consumers of the engine's event stream: attached together,
+   each yields exactly what it yields alone, and they agree on the
+   events both see.                                                    *)
+
+let test_trace_and_probe_consumers_agree () =
+  Doall_quorum.Register.install ();
+  let cells =
+    [
+      ("max-delay", Config.Ptp);
+      ("uniform-delay", Config.Ptp);
+      ("lossy-half", Config.Ptp);
+      ("flaky-restart", Config.Ptp);
+      ("fair", Config.Channel Config.Silent);
+    ]
+  in
+  List.iter
+    (fun algo ->
+      List.iter
+        (fun (adv, transport) ->
+          let spec =
+            Runner.spec ~seed:5 ~transport ~algo ~adv ~p:6 ~t:24 ~d:3 ()
+          in
+          let name = Runner.spec_name spec in
+          (* the cap keeps the non-terminating awq/channel cells small *)
+          let run ~probes ~trace =
+            Runner.run ~max_time:400 ~probes ~trace spec
+          in
+          let both = run ~probes:true ~trace:true in
+          let probe_only = run ~probes:true ~trace:false in
+          let trace_only = run ~probes:false ~trace:true in
+          check (name ^ ": metrics, probe alone") true
+            (both.Runner.metrics = probe_only.Runner.metrics);
+          check (name ^ ": metrics, trace alone") true
+            (both.Runner.metrics = trace_only.Runner.metrics);
+          check (name ^ ": snapshot = probe alone") true
+            (both.Runner.obs = probe_only.Runner.obs);
+          let tr = Option.get both.Runner.trace in
+          let alone = Option.get trace_only.Runner.trace in
+          check (name ^ ": trace = trace alone") true
+            (Trace.events tr = Trace.events alone);
+          let snap = Option.get both.Runner.obs in
+          let c n = List.assoc n snap.Probe.counters in
+          let sum n =
+            Array.fold_left ( + ) 0 (List.assoc n snap.Probe.vectors)
+          in
+          let count kind = Trace.fold tr ~init:0 ~f:(fun n ev -> n + kind ev) in
+          let fresh =
+            count (function Trace.Perform { fresh = true; _ } -> 1 | _ -> 0)
+          and redundant =
+            count (function Trace.Perform { fresh = false; _ } -> 1 | _ -> 0)
+          and steps = count (function Trace.Step _ -> 1 | _ -> 0)
+          and delayed = count (function Trace.Delayed _ -> 1 | _ -> 0)
+          and broadcasts = count (function Trace.Broadcast _ -> 1 | _ -> 0) in
+          check_int (name ^ ": #Perform{fresh}") (c "engine.fresh_executions")
+            fresh;
+          check_int (name ^ ": #Perform{not fresh}")
+            (c "engine.redundant_executions") redundant;
+          check_int (name ^ ": #Step = sum idle_steps") (sum "proc.idle_steps")
+            steps;
+          check_int (name ^ ": #Delayed = sum delayed_steps")
+            (sum "proc.delayed_steps") delayed;
+          (* paran1 and DA send only broadcasts, so each sending step
+             is one multicast and one fan-out sample *)
+          if algo <> "awq-q4" then
+            check_int (name ^ ": #Broadcast = net.fanout samples")
+              (List.assoc "net.fanout" snap.Probe.histograms).Probe.count
+              broadcasts)
+        cells)
+    [ "paran1"; "da-q4"; "awq-q4" ]
+
+(* ------------------------------------------------------------------ *)
 (* Determinism: probes on/off and jobs=1/2/4 must not move a bit.      *)
 
 let det_specs =
@@ -636,6 +707,8 @@ let suite =
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "engine instruments vs metrics" `Quick
       test_engine_instruments_match_metrics;
+    Alcotest.test_case "trace and probe consumers agree" `Quick
+      test_trace_and_probe_consumers_agree;
     Alcotest.test_case "determinism: jobs x probes" `Quick
       test_grid_deterministic_across_jobs_and_probes;
     Alcotest.test_case "export run JSONL" `Quick test_export_run_jsonl;

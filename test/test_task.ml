@@ -69,13 +69,13 @@ let prop_first_unknown_agrees_with_next_member =
       let cursors = Array.make part.Task.n 0 in
       List.init part.Task.n Fun.id
       |> List.iter (fun j ->
-             cursors.(j) <- fst part.Task.task_ranges.(j));
+             cursors.(j) <- Task.job_lo part j);
       List.for_all
         (fun i ->
           Bitset.set know i;
           List.for_all
             (fun j ->
-              let lo, hi = part.Task.task_ranges.(j) in
+              let lo = Task.job_lo part j and hi = Task.job_hi part j in
               (* cursor-carried scan = fresh scan = next_member *)
               cursors.(j) <-
                 Task.first_unknown part know j ~from:cursors.(j);
@@ -88,11 +88,24 @@ let prop_first_unknown_agrees_with_next_member =
             (List.init part.Task.n Fun.id))
         sets)
 
+(* The reference grouping the closed forms must reproduce: [min p t]
+   contiguous jobs laid out by a cumulative sum of sizes, the first
+   [t mod n] of them one task larger. *)
+let task_ranges ~p ~t =
+  let n = min p t in
+  let base = t / n and extra = t mod n in
+  let start = ref 0 in
+  Array.init n (fun j ->
+      let lo = !start in
+      start := lo + base + if j < extra then 1 else 0;
+      (lo, !start))
+
 let prop_job_of_task_closed_form =
-  (* The closed-form [job_of_task] must agree with [task_ranges]
-     membership. The three shapes force each regime of the formula:
-     t < p (singleton jobs), t mod p = 0 (equal jobs), and
-     t mod p <> 0 (one extra task in the first [t mod p] jobs). *)
+  (* The closed-form [job_of_task], [job_lo] and [job_hi] must agree
+     with [task_ranges] bounds and membership. The three shapes force
+     each regime of the formulas: t < p (singleton jobs), t mod p = 0
+     (equal jobs), and t mod p <> 0 (one extra task in the first
+     [t mod p] jobs). *)
   QCheck2.Test.make ~name:"job_of_task = task_ranges membership" ~count:300
     QCheck2.Gen.(
       let* p = int_range 1 300 in
@@ -112,9 +125,12 @@ let prop_job_of_task_closed_form =
       return (p, t))
     (fun (p, t) ->
       let part = Task.make ~p ~t in
-      let ok = ref true in
+      let ranges = task_ranges ~p ~t in
+      let ok = ref (part.Task.n = Array.length ranges) in
       for j = 0 to part.Task.n - 1 do
-        let lo, hi = part.Task.task_ranges.(j) in
+        let lo, hi = ranges.(j) in
+        if Task.job_lo part j <> lo || Task.job_hi part j <> hi then
+          ok := false;
         for z = lo to hi - 1 do
           if Task.job_of_task part z <> j then ok := false
         done
